@@ -4,8 +4,10 @@
 # with elevated trials, a metrics-overhead guard (enabled vs disabled
 # registry on the micro-op benchmarks, budget 5%), a perf-smoke stage
 # (bench_analytics --quick --check: the vectorized executor must match the
-# row-at-a-time executor's results and not be slower), a schedule-exploration
-# stage (the util/sched deterministic explorer suites at an elevated PCT
+# row-at-a-time executor's results and not be slower), a paged LinkBench
+# stage (perfbench linkbench_paged for two seconds: shadow check,
+# CheckConsistency() and WAL reopen over a paged store), a
+# schedule-exploration stage (the util/sched deterministic explorer suites at an elevated PCT
 # trial count), a plan-verification gate (the differential harness at an
 # elevated trial count with sql/verify.h forced on — zero false rejections
 # — plus the SQLGRAPH_VERIFY_SELFTEST mutation modes, each of which must
@@ -115,6 +117,21 @@ if [[ "${1:-}" != "--fast" ]]; then
   # exits non-zero on a mode mismatch or a slowdown.
   cmake --build build -j "$(nproc)" --target bench_analytics
   ./build/bench/bench_analytics --quick --check
+
+  echo "== paged LinkBench shadow check (perfbench linkbench_paged) =="
+  # The repository benchmark's linkbench_paged workload checks every request
+  # against a NativeStore shadow, then runs CheckConsistency() and reopens
+  # the WAL and compares it row by row, all over a paged store whose buffer
+  # pool is smaller than the store. A two-second run puts those checks in
+  # CI. The last stdout line is the JSON result: it must report
+  # "correct": true and "failed": 0.
+  paged_result="$(python3 perfbench/run.py --workload linkbench_paged \
+    --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+  echo "  $paged_result"
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    "$paged_result"
 
   echo "== plan verification gate (elevated trials + mutation self-tests) =="
   # The build above is unoptimized (no NDEBUG), so Options::verify_plans /

@@ -25,7 +25,7 @@ obs::Counter* EvictionCounter() {
 }
 }  // namespace
 
-std::shared_ptr<const DecodedPage> BufferPool::Lookup(PageId id) {
+std::shared_ptr<const PageFrame> BufferPool::Lookup(PageId id) {
   util::MutexLock lock(&mu_);
   auto it = map_.find(id);
   if (it == map_.end()) {
@@ -37,37 +37,28 @@ std::shared_ptr<const DecodedPage> BufferPool::Lookup(PageId id) {
   HitCounter()->Increment();
   // Move to front of LRU list.
   lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->page;
+  return it->second->frame;
 }
 
-void BufferPool::Insert(PageId id, std::shared_ptr<const DecodedPage> page) {
+void BufferPool::Insert(PageId id, std::shared_ptr<const PageFrame> frame) {
   util::MutexLock lock(&mu_);
   auto it = map_.find(id);
   if (it != map_.end()) {
-    used_.Write() -= it->second->page->byte_size;
+    used_.Write() -= it->second->frame->byte_size;
     lru_.erase(it->second);
     map_.erase(it);
   }
-  used_.Write() += page->byte_size;
-  lru_.push_front(Entry{id, std::move(page)});
+  used_.Write() += frame->byte_size;
+  lru_.push_front(Entry{id, std::move(frame)});
   map_[id] = lru_.begin();
   EvictIfNeeded();
-}
-
-void BufferPool::Invalidate(PageId id) {
-  util::MutexLock lock(&mu_);
-  auto it = map_.find(id);
-  if (it == map_.end()) return;
-  used_.Write() -= it->second->page->byte_size;
-  lru_.erase(it->second);
-  map_.erase(it);
 }
 
 void BufferPool::InvalidateStore(uint32_t store_id) {
   util::MutexLock lock(&mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->id.store_id == store_id) {
-      used_.Write() -= it->page->byte_size;
+      used_.Write() -= it->frame->byte_size;
       map_.erase(it->id);
       it = lru_.erase(it);
     } else {
@@ -93,7 +84,7 @@ void BufferPool::set_capacity(size_t bytes) {
 void BufferPool::EvictIfNeeded() {
   while (used_.Read() > capacity_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
-    used_.Write() -= victim.page->byte_size;
+    used_.Write() -= victim.frame->byte_size;
     map_.erase(victim.id);
     lru_.pop_back();
     ++evictions_;

@@ -1,10 +1,12 @@
-// Byte-budgeted LRU buffer pool over serialized pages.
+// Byte-budgeted LRU buffer pool over page images.
 //
-// Paged row stores keep their rows in serialized page blobs (the "disk");
-// reading a row requires the decoded page, which lives in this pool. A
-// smaller budget causes more decode work per access — this is the mechanism
-// the memory-sensitivity experiment (paper Fig. 8c) manipulates, instead of
-// an artificial sleep.
+// Paged row stores keep their rows in serialized page blobs (the "disk").
+// The pool caches immutable copies of those blobs (frames), as a DBMS
+// buffer pool holds page images; readers decode a row straight from the
+// frame. A miss copies the page's blob into a new frame, which stands in
+// for the disk read, so a smaller budget means more page copies per access
+// — the mechanism the memory-sensitivity experiment (paper Fig. 8c)
+// manipulates, instead of an artificial sleep.
 
 #ifndef SQLGRAPH_REL_BUFFER_POOL_H_
 #define SQLGRAPH_REL_BUFFER_POOL_H_
@@ -12,10 +14,9 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "rel/value.h"
 #include "util/thread_annotations.h"
 
 namespace sqlgraph {
@@ -35,29 +36,37 @@ struct PageIdHash {
   }
 };
 
-/// A decoded page: the rows it contains plus its decoded footprint.
-struct DecodedPage {
-  std::vector<Row> rows;
-  size_t byte_size = 0;
+/// An immutable page image: one sealed page's bytes as its store wrote
+/// them. A frame is never changed once built; a write builds a new frame
+/// and replaces the cached one, so a reader still holding the old frame
+/// keeps a consistent image.
+struct PageFrame {
+  /// Bookkeeping charged per frame on top of its bytes (pool list and map
+  /// entries, shared_ptr control block, string header).
+  static constexpr size_t kOverheadBytes = 64;
+
+  explicit PageFrame(std::string image)
+      : bytes(std::move(image)), byte_size(bytes.size() + kOverheadBytes) {}
+
+  const std::string bytes;
+  const size_t byte_size;  // charge against the pool's budget
 };
 
-/// \brief LRU cache of decoded pages with a byte budget.
+/// \brief LRU cache of page frames with a byte budget.
 ///
-/// Thread-safe; all operations take an internal mutex (paged stores are used
-/// by the single-requester memory-sweep benchmark, so contention is not a
-/// concern).
+/// Thread-safe; every operation takes one internal mutex for a hash lookup
+/// and a list splice. Page copies and row decoding happen outside it, in
+/// the calling store, so concurrent readers of paged tables (under shared
+/// table locks) serialize only on that short critical section.
 class BufferPool {
  public:
   explicit BufferPool(size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-  /// Returns the cached decoded page or nullptr on miss.
-  std::shared_ptr<const DecodedPage> Lookup(PageId id);
+  /// Returns the cached frame or nullptr on miss.
+  std::shared_ptr<const PageFrame> Lookup(PageId id);
 
-  /// Inserts (or replaces) a decoded page, evicting LRU pages as needed.
-  void Insert(PageId id, std::shared_ptr<const DecodedPage> page);
-
-  /// Drops a page (e.g., after a write invalidates it).
-  void Invalidate(PageId id);
+  /// Inserts (or replaces) a frame, evicting LRU frames as needed.
+  void Insert(PageId id, std::shared_ptr<const PageFrame> frame);
 
   /// Drops every page belonging to a store.
   void InvalidateStore(uint32_t store_id);
@@ -99,7 +108,7 @@ class BufferPool {
 
   struct Entry {
     PageId id;
-    std::shared_ptr<const DecodedPage> page;
+    std::shared_ptr<const PageFrame> frame;
   };
 
   mutable util::Mutex mu_{util::LockRank::kBufferPool, "buffer_pool"};

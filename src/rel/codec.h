@@ -1,6 +1,6 @@
 // Binary row codec used by the paged row store. Rows are serialized into
-// page blobs; reading a row from an evicted page pays a real decode cost,
-// which is the mechanism behind the buffer-pool/memory experiments.
+// page blobs; every paged read decodes its row from a cached page image,
+// and every paged write encodes its row into the page.
 
 #ifndef SQLGRAPH_REL_CODEC_H_
 #define SQLGRAPH_REL_CODEC_H_

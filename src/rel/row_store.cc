@@ -92,7 +92,10 @@ PagedRowStore::PagedRowStore(BufferPool* pool, size_t num_columns,
 void PagedRowStore::SealTailIfFull() {
   if (tail_.size() < rows_per_page_) return;
   std::string blob;
-  for (const Row& r : tail_) EncodeRow(r, &blob);
+  for (const Row& r : tail_) {
+    row_offsets_.push_back(static_cast<uint32_t>(blob.size()));
+    EncodeRow(r, &blob);
+  }
   serialized_bytes_ += blob.size();
   page_blobs_.push_back(std::move(blob));
   tail_.clear();
@@ -108,42 +111,51 @@ RowId PagedRowStore::Append(Row row) {
   return rid;
 }
 
-std::shared_ptr<const DecodedPage> PagedRowStore::FetchPage(
+std::shared_ptr<const PageFrame> PagedRowStore::FetchFrame(
     uint32_t page_index) const {
   const PageId id{store_id_, page_index};
   if (auto cached = pool_->Lookup(id)) return cached;
-  // Miss: decode the blob (this is the real cost the pool budget controls).
-  const std::string& blob = page_blobs_[page_index];
-  auto page = std::make_shared<DecodedPage>();
-  page->rows.reserve(rows_per_page_);
-  size_t offset = 0;
-  while (offset < blob.size()) {
-    Row row;
-    util::Status st = DecodeRow(blob, num_columns_, &offset, &row);
-    // We only decode blobs this store encoded; failure is a bug, asserted in
-    // debug builds and unreachable in release.
-    assert(st.ok());
-    (void)st;
-    page->byte_size += 64;
-    for (const Value& v : row) page->byte_size += v.ByteSize();
-    page->rows.push_back(std::move(row));
-  }
-  pool_->Insert(id, page);
-  return page;
+  // Miss: copy the page image in from its blob (this stands in for the
+  // disk read whose count the pool budget controls).
+  auto frame = std::make_shared<const PageFrame>(page_blobs_[page_index]);
+  pool_->Insert(id, frame);
+  return frame;
 }
 
-void PagedRowStore::StorePage(uint32_t page_index, DecodedPage page) {
-  std::string blob;
-  for (const Row& r : page.rows) EncodeRow(r, &blob);
-  serialized_bytes_ -= page_blobs_[page_index].size();
-  serialized_bytes_ += blob.size();
-  page_blobs_[page_index] = std::move(blob);
-  page.byte_size = 64;
-  for (const Row& r : page.rows) {
-    for (const Value& v : r) page.byte_size += v.ByteSize();
+void PagedRowStore::DecodeSealed(const PageFrame& frame, RowId rid,
+                                 Row* out) const {
+  size_t offset = row_offsets_[rid];
+  util::Status st = DecodeRow(frame.bytes, num_columns_, &offset, out);
+  // We only decode blobs this store encoded; failure is a bug, asserted in
+  // debug builds and unreachable in release.
+  assert(st.ok());
+  (void)st;
+}
+
+void PagedRowStore::WriteSlot(RowId rid, Row row) {
+  const size_t page_index = rid / rows_per_page_;
+  if (page_index >= page_blobs_.size()) {
+    tail_[rid - page_blobs_.size() * rows_per_page_] = std::move(row);
+    return;
   }
-  pool_->Insert(PageId{store_id_, page_index},
-                std::make_shared<DecodedPage>(std::move(page)));
+  std::string encoded;
+  EncodeRow(row, &encoded);
+  std::string& blob = page_blobs_[page_index];
+  const RowId page_end = (page_index + 1) * rows_per_page_;
+  const size_t start = row_offsets_[rid];
+  const size_t old_len =
+      (rid + 1 < page_end ? row_offsets_[rid + 1] : blob.size()) - start;
+  blob.replace(start, old_len, encoded);
+  // Later rows of the page move by the length change (each starts at or
+  // after this row's old end, so the unsigned sum cannot underflow).
+  for (RowId r = rid + 1; r < page_end; ++r) {
+    row_offsets_[r] =
+        static_cast<uint32_t>(row_offsets_[r] + encoded.size() - old_len);
+  }
+  serialized_bytes_ = serialized_bytes_ + encoded.size() - old_len;
+  // Replace, never modify, the cached frame: a reader may still hold it.
+  pool_->Insert(PageId{store_id_, static_cast<uint32_t>(page_index)},
+                std::make_shared<const PageFrame>(blob));
 }
 
 util::Status PagedRowStore::Get(RowId rid, Row* out) const {
@@ -151,14 +163,12 @@ util::Status PagedRowStore::Get(RowId rid, Row* out) const {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
   const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
   if (page_index >= page_blobs_.size()) {
     // Row still in the unsealed tail.
     *out = tail_[rid - page_blobs_.size() * rows_per_page_];
     return util::Status::OK();
   }
-  auto page = FetchPage(static_cast<uint32_t>(page_index));
-  *out = page->rows[slot];
+  DecodeSealed(*FetchFrame(static_cast<uint32_t>(page_index)), rid, out);
   return util::Status::OK();
 }
 
@@ -166,16 +176,7 @@ util::Status PagedRowStore::Update(RowId rid, Row row) {
   if (rid >= num_rows_ || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
-  const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
-  if (page_index >= page_blobs_.size()) {
-    tail_[rid - page_blobs_.size() * rows_per_page_] = std::move(row);
-    return util::Status::OK();
-  }
-  auto page = FetchPage(static_cast<uint32_t>(page_index));
-  DecodedPage updated = *page;
-  updated.rows[slot] = std::move(row);
-  StorePage(static_cast<uint32_t>(page_index), std::move(updated));
+  WriteSlot(rid, std::move(row));
   return util::Status::OK();
 }
 
@@ -198,19 +199,9 @@ util::Status PagedRowStore::Restore(RowId rid, Row row) {
   }
   live_[rid] = true;
   ++live_count_;
-  // Deletion only flips the live bit, but the slot may since have been
-  // overwritten by an unrelated Update-path re-encode; write the content
-  // back unconditionally.
-  const size_t page_index = rid / rows_per_page_;
-  const size_t slot = rid % rows_per_page_;
-  if (page_index >= page_blobs_.size()) {
-    tail_[rid - page_blobs_.size() * rows_per_page_] = std::move(row);
-    return util::Status::OK();
-  }
-  auto page = FetchPage(static_cast<uint32_t>(page_index));
-  DecodedPage updated = *page;
-  updated.rows[slot] = std::move(row);
-  StorePage(static_cast<uint32_t>(page_index), std::move(updated));
+  // Deletion only flips the live bit and leaves the old bytes in the page;
+  // the restored row need not match them, so write it back unconditionally.
+  WriteSlot(rid, std::move(row));
   return util::Status::OK();
 }
 
@@ -233,11 +224,13 @@ size_t PagedRowStore::SerializedBytes() const {
 void PagedRowStore::Scan(
     const std::function<void(RowId, const Row&)>& visit) const {
   RowId rid = 0;
+  Row decoded;  // reused across rows; valid only during visit()
   for (size_t p = 0; p < page_blobs_.size(); ++p) {
-    auto page = FetchPage(static_cast<uint32_t>(p));
-    for (const Row& row : page->rows) {
-      if (live_[rid]) visit(rid, row);
-      ++rid;
+    const auto frame = FetchFrame(static_cast<uint32_t>(p));
+    for (const RowId page_end = rid + rows_per_page_; rid < page_end; ++rid) {
+      if (!live_[rid]) continue;
+      DecodeSealed(*frame, rid, &decoded);
+      visit(rid, decoded);
     }
   }
   for (const Row& row : tail_) {

@@ -3,8 +3,10 @@
 //  * VectorRowStore — rows resident in memory; the default for tests and
 //    most benchmarks.
 //  * PagedRowStore — rows serialized into fixed-fanout page blobs fronted by
-//    the shared BufferPool; used for the memory-sensitivity experiment and
-//    for on-disk size accounting.
+//    the shared BufferPool, which caches page images; used for the
+//    memory-sensitivity experiment and for on-disk size accounting. A read
+//    decodes only the row it asks for, straight from the cached image; a
+//    pool miss adds one page copy. A write encodes only the row it writes.
 //
 // RowIds are dense append positions; deletion tombstones a slot, it is never
 // reused (matching the paper's soft-delete design).
@@ -88,9 +90,14 @@ class VectorRowStore : public RowStore {
 };
 
 /// Page-serialized row store behind the shared buffer pool.
+///
+/// Reads may run concurrently (callers hold a shared table lock); writes
+/// need exclusive access. A write splices the re-encoded row into its
+/// page's blob and installs a fresh frame for that page, never changing a
+/// frame a concurrent reader may hold.
 class PagedRowStore : public RowStore {
  public:
-  /// `rows_per_page` trades decode granularity for blob count.
+  /// `rows_per_page` trades page-copy size for blob count.
   PagedRowStore(BufferPool* pool, size_t num_columns,
                 size_t rows_per_page = 64);
 
@@ -107,10 +114,13 @@ class PagedRowStore : public RowStore {
   size_t SerializedBytes() const override;
 
  private:
-  // Fetches (decoding on miss) the page holding `page_index`.
-  std::shared_ptr<const DecodedPage> FetchPage(uint32_t page_index) const;
-  // Re-encodes a modified page into its blob and refreshes the pool.
-  void StorePage(uint32_t page_index, DecodedPage page);
+  // Returns the cached frame of page `page_index`, copying the page's blob
+  // into a new frame on a miss.
+  std::shared_ptr<const PageFrame> FetchFrame(uint32_t page_index) const;
+  // Decodes sealed row `rid` out of `frame`, which must hold its page.
+  void DecodeSealed(const PageFrame& frame, RowId rid, Row* out) const;
+  // Writes `row` into slot `rid` (sealed or tail), whatever its live bit.
+  void WriteSlot(RowId rid, Row row);
   // Seals the append buffer into a blob once full.
   void SealTailIfFull();
 
@@ -119,6 +129,11 @@ class PagedRowStore : public RowStore {
   size_t num_columns_;
   size_t rows_per_page_;
   std::vector<std::string> page_blobs_;  // sealed, serialized pages
+  // Byte offset of each sealed row inside its page's blob, indexed by
+  // RowId; a row ends where the next row of its page starts, or at the end
+  // of the blob. Recorded at seal time, shifted by writes; not serialized.
+  // 32 bits: a page of rows_per_page rows stays far below 4 GiB.
+  std::vector<uint32_t> row_offsets_;
   std::vector<Row> tail_;                // unsealed append buffer
   std::vector<bool> live_;
   size_t num_rows_ = 0;

@@ -34,8 +34,8 @@
 //   kWalWriter         wal::LogWriter::mu_ — Enqueue runs under the
 //                      serializing table lock, so the writer ranks below
 //                      nothing it is ever held with
-//   kBufferPool        rel::BufferPool::mu_ — page decode during scans that
-//                      already hold table locks
+//   kBufferPool        rel::BufferPool::mu_ — frame lookups and inserts
+//                      during reads that already hold table locks
 //   kStoreTemplates    SqlGraphStore::tpl_mu_ — compiles through the plan
 //                      cache, so it must rank below it
 //   kTranslationCache  gremlin::TranslationCache::mu_

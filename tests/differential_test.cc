@@ -60,10 +60,11 @@ const char* kEdgeLabels[] = {
 const char* kGenres[] = {"Rocken", "Jazz", "Folk"};
 
 /// Random graph in the DBpedia shape's image: URI edge labels, a 'genre'
-/// string attribute and a 'w' integer attribute on every vertex.
-PropertyGraph RandomGraph(util::Rng* rng) {
+/// string attribute and a 'w' integer attribute on every vertex; between
+/// `min_vertices` and `min_vertices + 39` vertices.
+PropertyGraph RandomGraph(util::Rng* rng, size_t min_vertices = 20) {
   PropertyGraph g;
-  const size_t n = 20 + rng->Uniform(40);
+  const size_t n = min_vertices + rng->Uniform(40);
   for (size_t i = 0; i < n; ++i) {
     json::JsonValue attrs = json::JsonValue::Object();
     attrs.Set("w", static_cast<int64_t>(rng->Uniform(10)));
@@ -387,6 +388,48 @@ TEST_P(DbpediaDifferentialTest, SqlTranslationMatchesInterpreterMultisets) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DbpediaDifferentialTest,
                          ::testing::Range(0, 4));
+
+// Paged storage: the same oracle over StorageMode::kPaged stores whose
+// buffer pool holds an eighth of the store, so the executor's scans and
+// index fetches read rows out of page images that are copied in and
+// evicted throughout each query. The random graphs here have at least 130
+// vertices, so every table has sealed pages besides its unsealed tail.
+void RunPagedDifferentialTrials(const PropertyGraph& g, util::Rng* rng,
+                                const char* tag) {
+  StoreConfig config = DiffStoreConfig();
+  config.va_hash_indexes = {"genre"};
+  config.storage = rel::StorageMode::kPaged;
+  auto store = SqlGraphStore::Build(g, config);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  rel::BufferPool* pool = (*store)->db()->buffer_pool();
+  pool->set_capacity((*store)->SerializedBytes() / 8);
+  pool->Clear();
+  auto native = baseline::NativeStore::Build(g);
+  ASSERT_TRUE(native.ok());
+  RunDifferentialTrials(store->get(), native->get(), rng, g.NumVertices(),
+                        TrialsPerSeed(), tag);
+  EXPECT_GT(pool->evictions(), 0u) << "pool never filled; nothing was paged";
+  EXPECT_LE(pool->cached_bytes(), pool->capacity());
+}
+
+class PagedDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PagedDifferentialTest, RandomGraphMatchesInterpreterMultisets) {
+  util::Rng rng(0x9A6ED + static_cast<uint64_t>(GetParam()) * 2750159);
+  const PropertyGraph g = RandomGraph(&rng, /*min_vertices=*/130);
+  RunPagedDifferentialTrials(g, &rng, "paged-random-graph");
+}
+
+TEST_P(PagedDifferentialTest, DbpediaShapeMatchesInterpreterMultisets) {
+  graph::DbpediaConfig gen_config;
+  gen_config.scale = 0.004;
+  gen_config.seed = 20150607 + static_cast<uint64_t>(GetParam());
+  const PropertyGraph g = graph::DbpediaGenerator(gen_config).Generate();
+  util::Rng rng(0x9A6EDB + static_cast<uint64_t>(GetParam()) * 104723);
+  RunPagedDifferentialTrials(g, &rng, "paged-dbpedia-shape");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PagedDifferentialTest, ::testing::Range(0, 4));
 
 // Soft deletes: delete the same vertices in each store, verify the VID >= 0
 // guards hide them from scans and from the EA fast path, then Compact the

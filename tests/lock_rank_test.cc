@@ -284,8 +284,8 @@ TEST(BufferPoolStatsTest, AccessorsAreRaceFreeAgainstWriters) {
   for (int t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
       for (uint32_t i = 0; i < 500; ++i) {
-        auto page = std::make_shared<rel::DecodedPage>();
-        page->byte_size = 512;
+        auto page = std::make_shared<const rel::PageFrame>(
+            std::string(512 - rel::PageFrame::kOverheadBytes, 'x'));
         const rel::PageId id{static_cast<uint32_t>(t), i};
         pool.Insert(id, std::move(page));
         (void)pool.Lookup(id);

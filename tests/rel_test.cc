@@ -1,6 +1,7 @@
 // Tests for src/rel: values, codec, row stores, buffer pool, indexes,
 // tables, database catalog, lock manager.
 
+#include <atomic>
 #include <thread>
 
 #include "gtest/gtest.h"
@@ -8,6 +9,7 @@
 #include "rel/codec.h"
 #include "rel/database.h"
 #include "rel/lock_manager.h"
+#include "util/rng.h"
 
 namespace sqlgraph {
 namespace rel {
@@ -241,20 +243,199 @@ TEST(PagedRowStoreTest, SerializedBytesTracked) {
   EXPECT_GT(store.SerializedBytes(), 1000u);
 }
 
+// Readers of a paged table run concurrently under a shared table lock, so
+// they race on the pool: each misses, copies a frame in and evicts the
+// others' frames while they still decode from them. Every read must still
+// see its own row (TSan checks the frame handoff).
+TEST(PagedRowStoreTest, ConcurrentReadersThroughATinyPool) {
+  BufferPool pool(2 * (PageFrame::kOverheadBytes + 8 * 20));  // ~2 pages
+  PagedRowStore store(&pool, 2, 8);
+  constexpr int kRows = 512;
+  for (int i = 0; i < kRows; ++i) {
+    store.Append({Value(i), Value("row" + std::to_string(i))});
+  }
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Row out;
+      for (int i = 0; i < 2000; ++i) {
+        const int rid = (i * 37 + t * 101) % kRows;
+        if (!store.Get(rid, &out).ok() || out[0].AsInt() != rid ||
+            out[1].AsString() != "row" + std::to_string(rid)) {
+          failed = true;
+        }
+      }
+      int64_t expect = 0;
+      store.Scan([&](RowId, const Row& row) {
+        if (row[0].AsInt() != expect++) failed = true;
+      });
+      if (expect != kRows) failed = true;
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(pool.evictions(), 0u);
+  EXPECT_LE(pool.cached_bytes(), pool.capacity());
+}
+
+// Randomized model check: PagedRowStore must agree with VectorRowStore
+// under random Append/Get/Update/Delete/Restore/Scan sequences, with the
+// pool cleared now and then so reads also run against freshly copied page
+// images. Rows mix NULL, scalar, string and JSON columns, and the string
+// column's length crosses the one-/two-byte varint boundary, so updates
+// both grow and shrink a row's encoding inside its page. Rids are drawn
+// over the whole store, so writes land on sealed pages and in the unsealed
+// tail alike, tombstones included. After every step the store's
+// SerializedBytes() must equal a from-scratch encoding of every slot's
+// last written row (sealed pages keep a tombstoned row's bytes), and the
+// pool must stay within its budget.
+Row RandomModelRow(util::Rng* rng) {
+  Row row(3);  // all NULL to start
+  switch (rng->Uniform(5)) {
+    case 0: break;
+    case 1: row[0] = Value(rng->Chance(0.5)); break;
+    case 2: row[0] = Value(rng->NextDouble() * 1e6); break;
+    default: row[0] = Value(static_cast<int64_t>(rng->Next()));
+  }
+  if (!rng->Chance(0.2)) {
+    row[1] = Value(std::string(rng->Uniform(300),
+                               static_cast<char>('a' + rng->Uniform(26))));
+  }
+  if (!rng->Chance(0.2)) {
+    json::JsonValue obj = json::JsonValue::Object();
+    const uint64_t keys = rng->Uniform(4);
+    for (uint64_t k = 0; k < keys; ++k) {
+      if (rng->Chance(0.5)) {
+        obj.Set("k" + std::to_string(k), static_cast<int64_t>(rng->Uniform(1000)));
+      } else {
+        obj.Set("k" + std::to_string(k), std::string(rng->Uniform(40), 'j'));
+      }
+    }
+    row[2] = Value(std::move(obj));
+  }
+  return row;
+}
+
+std::string Encoded(const Row& row) {
+  std::string out;
+  EncodeRow(row, &out);
+  return out;
+}
+
+std::vector<std::pair<RowId, std::string>> ScanEncoded(const RowStore& store) {
+  std::vector<std::pair<RowId, std::string>> out;
+  store.Scan([&](RowId rid, const Row& row) {
+    out.emplace_back(rid, Encoded(row));
+  });
+  return out;
+}
+
+// (rows_per_page, pool budget in pages; 0 = room for the whole store)
+class PagedRowStoreModelTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(PagedRowStoreModelTest, MatchesVectorRowStore) {
+  const auto [rows_per_page, pool_pages] = GetParam();
+  constexpr size_t kMeanRowBytes = 200;  // RandomModelRow's rough average
+  const size_t page_bytes =
+      PageFrame::kOverheadBytes + rows_per_page * kMeanRowBytes;
+  BufferPool pool(pool_pages == 0 ? size_t{1} << 30 : pool_pages * page_bytes);
+  PagedRowStore paged(&pool, 3, rows_per_page);
+  VectorRowStore model;
+  std::vector<Row> written;  // each slot's last written row, live or not
+  util::Rng rng(0x9A6ED + rows_per_page * 7919 + pool_pages);
+
+  constexpr int kSteps = 800;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // One past the end now and then, to hit the out-of-range paths.
+    const RowId rid = rng.Uniform(written.size() + 1);
+    Row out_paged, out_model;
+    switch (rng.Uniform(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        Row row = RandomModelRow(&rng);
+        written.push_back(row);
+        ASSERT_EQ(paged.Append(row), model.Append(row));
+        break;
+      }
+      case 3: {
+        const util::Status a = paged.Get(rid, &out_paged);
+        const util::Status b = model.Get(rid, &out_model);
+        ASSERT_EQ(a.code(), b.code());
+        if (a.ok()) {
+          ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
+        }
+        break;
+      }
+      case 4:
+      case 5: {
+        Row row = RandomModelRow(&rng);
+        const util::Status a = paged.Update(rid, row);
+        ASSERT_EQ(a.code(), model.Update(rid, row).code());
+        if (a.ok()) written[rid] = std::move(row);
+        break;
+      }
+      case 6:
+        ASSERT_EQ(paged.Delete(rid).code(), model.Delete(rid).code());
+        break;
+      case 7: {
+        Row row = RandomModelRow(&rng);
+        const util::Status a = paged.Restore(rid, row);
+        ASSERT_EQ(a.code(), model.Restore(rid, row).code());
+        if (a.ok()) written[rid] = std::move(row);
+        break;
+      }
+      case 8:
+        ASSERT_EQ(ScanEncoded(paged), ScanEncoded(model));
+        break;
+      default:
+        pool.Clear();  // later reads copy fresh images from the blobs
+    }
+    ASSERT_EQ(paged.NumSlots(), model.NumSlots());
+    ASSERT_EQ(paged.NumLive(), model.NumLive());
+    ASSERT_EQ(paged.IsLive(rid), model.IsLive(rid));
+    size_t want_bytes = 0;
+    for (const Row& row : written) want_bytes += Encoded(row).size();
+    ASSERT_EQ(paged.SerializedBytes(), want_bytes);
+    ASSERT_LE(pool.cached_bytes(), pool.capacity());
+  }
+  ASSERT_GT(paged.NumSlots(), 2 * rows_per_page);  // several sealed pages
+  ASSERT_EQ(ScanEncoded(paged), ScanEncoded(model));
+  pool.Clear();
+  for (RowId rid = 0; rid < written.size(); ++rid) {
+    Row out_paged, out_model;
+    ASSERT_EQ(paged.Get(rid, &out_paged).code(),
+              model.Get(rid, &out_model).code());
+    if (model.IsLive(rid)) {
+      ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageShapes, PagedRowStoreModelTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{4},
+                                         size_t{64}),
+                       ::testing::Values(size_t{1}, size_t{4}, size_t{0})));
+
 // ------------------------------------------------------------ BufferPool --
+
+// A frame whose byte_size (image plus fixed overhead) is exactly `bytes`.
+std::shared_ptr<const PageFrame> FrameOfSize(size_t bytes) {
+  return std::make_shared<const PageFrame>(
+      std::string(bytes - PageFrame::kOverheadBytes, 'x'));
+}
 
 TEST(BufferPoolTest, LruEvictsOldest) {
   BufferPool pool(300);
-  auto page = [](size_t bytes) {
-    auto p = std::make_shared<DecodedPage>();
-    p->byte_size = bytes;
-    return p;
-  };
-  pool.Insert({1, 0}, page(100));
-  pool.Insert({1, 1}, page(100));
-  pool.Insert({1, 2}, page(100));
+  pool.Insert({1, 0}, FrameOfSize(100));
+  pool.Insert({1, 1}, FrameOfSize(100));
+  pool.Insert({1, 2}, FrameOfSize(100));
   EXPECT_NE(pool.Lookup({1, 0}), nullptr);  // touch 0 → 1 is now LRU
-  pool.Insert({1, 3}, page(100));           // evicts 1
+  pool.Insert({1, 3}, FrameOfSize(100));    // evicts 1
   EXPECT_EQ(pool.Lookup({1, 1}), nullptr);
   EXPECT_NE(pool.Lookup({1, 0}), nullptr);
   EXPECT_NE(pool.Lookup({1, 3}), nullptr);
@@ -262,11 +443,7 @@ TEST(BufferPoolTest, LruEvictsOldest) {
 
 TEST(BufferPoolTest, CapacityShrinkEvicts) {
   BufferPool pool(1000);
-  for (uint32_t i = 0; i < 5; ++i) {
-    auto p = std::make_shared<DecodedPage>();
-    p->byte_size = 100;
-    pool.Insert({1, i}, p);
-  }
+  for (uint32_t i = 0; i < 5; ++i) pool.Insert({1, i}, FrameOfSize(100));
   EXPECT_EQ(pool.cached_bytes(), 500u);
   pool.set_capacity(250);
   EXPECT_LE(pool.cached_bytes(), 250u);
@@ -274,8 +451,7 @@ TEST(BufferPoolTest, CapacityShrinkEvicts) {
 
 TEST(BufferPoolTest, InvalidateStoreDropsOnlyThatStore) {
   BufferPool pool(10000);
-  auto p = std::make_shared<DecodedPage>();
-  p->byte_size = 10;
+  auto p = std::make_shared<const PageFrame>(std::string(10, 'x'));
   pool.Insert({1, 0}, p);
   pool.Insert({2, 0}, p);
   pool.InvalidateStore(1);

@@ -664,11 +664,10 @@ TEST(SchedModelTest, WalAckBeforeFsyncIsCaughtAndReplays) {
 TEST(SchedModelTest, BufferPoolEvictionVsPinnedPagePct) {
   std::unique_ptr<rel::BufferPool> pool;
   const rel::PageId kPinned{1, 0};
-  auto make_page = [] {
-    auto page = std::make_shared<rel::DecodedPage>();
-    page->rows.push_back({rel::Value(7)});
-    page->byte_size = 200;
-    return page;
+  // Each frame is charged 200 bytes, so the 256-byte pool holds only one.
+  const std::string kImage(200 - rel::PageFrame::kOverheadBytes, '7');
+  auto make_page = [&] {
+    return std::make_shared<const rel::PageFrame>(kImage);
   };
   SchedOptions opts;
   opts.trials = TrialsFromEnv(50);
@@ -690,7 +689,7 @@ TEST(SchedModelTest, BufferPoolEvictionVsPinnedPagePct) {
         // contract under test is that a *hit* stays valid while pinned.
         if (pin == nullptr) return;
         Yield();  // hold the pin across the writer's evictions
-        if (pin->rows.size() != 1 || pin->rows[0][0].AsInt() != 7) {
+        if (pin->bytes != kImage || pin->byte_size != 200) {
           Fail("pinned page mutated under eviction");
         }
       },
