@@ -7,9 +7,11 @@
 # row-at-a-time executor's results and not be slower), a paged LinkBench
 # stage (perfbench linkbench_paged for two seconds: shadow check,
 # CheckConsistency() and WAL reopen over a paged store), a
-# schedule-exploration stage (the util/sched deterministic explorer suites at an elevated PCT
-# trial count), a plan-verification gate (the differential harness at an
-# elevated trial count with sql/verify.h forced on — zero false rejections
+# concurrency flake gate (the Concurrent/Torture/StoreWorkload tests
+# repeated until fail, up to 50 times), a schedule-exploration stage (the
+# util/sched deterministic explorer suites at an elevated PCT trial count),
+# a plan-verification gate (the differential harness at an elevated trial
+# count with sql/verify.h forced on — zero false rejections
 # — plus the SQLGRAPH_VERIFY_SELFTEST mutation modes, each of which must
 # be rejected), static-analysis lint
 # stages (the module-layering lint in ci/lint_layering.py and the
@@ -62,6 +64,13 @@ if [[ "${1:-}" != "--fast" ]]; then
   # fast, that one catches races.
   SQLGRAPH_TXN_TRIALS=240 ./build/tests/sqlgraph_tests \
     --gtest_filter='Txn*:TxnCrashRecoveryTest.*'
+
+  echo "== concurrency flake gate (concurrent/torture tests, 50 repeats) =="
+  # Tests that race real threads pass or fail with the OS schedule, so one
+  # green run says little. Repeating each on the Release build until it
+  # fails (at most 50 times) turns a flaky test into a CI failure.
+  ctest --test-dir build --output-on-failure \
+    -R 'Concurrent|Torture|StoreWorkload' --repeat until-fail:50
 
   echo "== schedule exploration (PCT + exhaustive DFS, elevated trials) =="
   # The deterministic schedule explorer (util/sched.h): model-checks the

@@ -37,9 +37,6 @@ ALLOWLIST = {
         "guards the six rel::Table objects behind WriteLock/ReadLockAll "
         "(sorted acquisition protocol, DESIGN.md section 7), not members "
         "of SqlGraphStore itself",
-    ("src/rel/lock_manager.h", "stripes_"):
-        "row-range lock stripes; they guard rows addressed by key hash, "
-        "not any declared member",
 }
 
 # The shim/validator/explorer layers declare or name mutexes as part of

@@ -45,15 +45,9 @@ util::Result<sql::ResultSet> GremlinRuntime::Run(const Pipeline& pipeline) {
   sql::ParamBindings binds;
   ASSIGN_OR_RETURN(CachedTranslation cached,
                    cache_.GetOrTranslate(translator_, pipeline, &binds));
-  auto prepared = store_->Prepare(cached.sql);
-  if (!prepared.ok()) {
-    // The rendered text did not survive the parse round trip (a construct
-    // the SQL parser does not accept yet): execute the translated AST
-    // directly. Deterministic per shape, so correctness is unaffected.
-    ASSIGN_OR_RETURN(sql::SqlQuery query, translator_.Translate(pipeline));
-    return store_->Execute(query);
-  }
-  return store_->ExecutePrepared(**prepared, binds);
+  ASSIGN_OR_RETURN(sql::PreparedQueryPtr prepared,
+                   store_->Prepare(cached.sql));
+  return store_->ExecutePrepared(*prepared, binds);
 }
 
 util::Result<std::string> GremlinRuntime::TranslateToSql(

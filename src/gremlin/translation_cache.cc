@@ -126,76 +126,36 @@ util::Result<CachedTranslation> TranslationCache::GetOrTranslate(
     sql::ParamBindings* binds) {
   sql::ParamBindings extracted;
   Pipeline shaped = ParameterizePipeline(pipeline, &extracted);
-  const std::string key = PipelineShapeKey(shaped);
-  {
-    util::MutexLock guard(&mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++hits_;
-      CacheHitCounter()->Increment();
-      *binds = std::move(extracted);
-      return it->second.translation;
-    }
-    ++misses_;
-    CacheMissCounter()->Increment();
-  }
-  // Translate and render outside the lock; concurrent misses on the same
-  // shape produce identical text, so the double-insert below is benign.
-  PipeAttribution attribution;
-  auto query = translator.Translate(
-      shaped, verify_attribution_ ? &attribution : nullptr);
-  if (!query.ok()) return query.status();
-  if (verify_attribution_) {
-    // Flatten to the layering-neutral shape sql/verify.h accepts and check
-    // that every CTE of the translation is attributed to exactly one pipe.
-    std::vector<std::pair<std::string, std::vector<std::string>>> pipes;
-    pipes.reserve(attribution.pipes.size());
-    for (const PipeAttribution::Entry& entry : attribution.pipes) {
-      pipes.emplace_back(entry.pipe, entry.ctes);
-    }
-    sql::PlanVerifyReport report;
-    sql::VerifyCteAttribution(*query, pipes, &report);
-    if (!report.ok()) return report.ToStatus();
-  }
-  CachedTranslation translation;
-  translation.sql = sql::Render(*query);
-  translation.param_count = static_cast<int>(extracted.positional.size());
-  {
-    util::MutexLock guard(&mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      lru_.push_front(key);
-      entries_.emplace(key, Entry{lru_.begin(), translation});
-      while (entries_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-      }
-    }
-  }
-  *binds = std::move(extracted);
+  bool hit = false;
+  util::Result<CachedTranslation> translation = cache_.GetOrLoad(
+      PipelineShapeKey(shaped),
+      [&]() -> util::Result<CachedTranslation> {
+        PipeAttribution attribution;
+        auto query = translator.Translate(
+            shaped, verify_attribution_ ? &attribution : nullptr);
+        if (!query.ok()) return query.status();
+        if (verify_attribution_) {
+          // Flatten to the layering-neutral shape sql/verify.h accepts and
+          // check that every CTE of the translation is attributed to
+          // exactly one pipe.
+          std::vector<std::pair<std::string, std::vector<std::string>>> pipes;
+          pipes.reserve(attribution.pipes.size());
+          for (const PipeAttribution::Entry& entry : attribution.pipes) {
+            pipes.emplace_back(entry.pipe, entry.ctes);
+          }
+          sql::PlanVerifyReport report;
+          sql::VerifyCteAttribution(*query, pipes, &report);
+          if (!report.ok()) return report.ToStatus();
+        }
+        CachedTranslation rendered;
+        rendered.sql = sql::Render(*query);
+        rendered.param_count = static_cast<int>(extracted.positional.size());
+        return rendered;
+      },
+      &hit);
+  (hit ? CacheHitCounter() : CacheMissCounter())->Increment();
+  if (translation.ok()) *binds = std::move(extracted);
   return translation;
-}
-
-void TranslationCache::Clear() {
-  util::MutexLock guard(&mu_);
-  entries_.clear();
-  lru_.clear();
-}
-
-size_t TranslationCache::size() const {
-  util::MutexLock guard(&mu_);
-  return entries_.size();
-}
-
-uint64_t TranslationCache::hits() const {
-  util::MutexLock guard(&mu_);
-  return hits_;
-}
-
-uint64_t TranslationCache::misses() const {
-  util::MutexLock guard(&mu_);
-  return misses_;
 }
 
 }  // namespace gremlin

@@ -15,15 +15,13 @@
 #define SQLGRAPH_GREMLIN_TRANSLATION_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 
 #include "gremlin/pipe.h"
 #include "gremlin/translator.h"
 #include "sql/expr_eval.h"
+#include "util/lru_cache.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace sqlgraph {
 namespace gremlin {
@@ -46,11 +44,14 @@ struct CachedTranslation {
   int param_count = 0;
 };
 
-/// Thread-safe LRU cache of Gremlin→SQL translations keyed by pipeline
-/// shape.
+/// Thread-safe, single-flight LRU cache (util::LruCache) of Gremlin→SQL
+/// translations keyed by pipeline shape: concurrent first callers for one
+/// shape translate it once.
 class TranslationCache {
  public:
-  explicit TranslationCache(size_t capacity = 128) : capacity_(capacity) {}
+  explicit TranslationCache(size_t capacity = 128)
+      : cache_(capacity, util::LockRank::kTranslationCache,
+               "translation_cache") {}
 
   /// Returns the SQL for `pipeline`'s shape (translating and rendering on a
   /// miss) and fills `binds` with this pipeline's extracted constants. With
@@ -68,28 +69,19 @@ class TranslationCache {
   void set_verify_attribution(bool on) { verify_attribution_ = on; }
   bool verify_attribution() const { return verify_attribution_; }
 
-  void Clear();
-  size_t size() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
+  void Clear() { cache_.Clear(); }
+  size_t size() const { return cache_.size(); }
+  uint64_t hits() const { return cache_.hits(); }
+  uint64_t misses() const { return cache_.misses(); }
 
  private:
-  // Held only around map/LRU bookkeeping; translation and rendering run
-  // outside. Ranks above the table locks (runtime code may consult the
-  // cache mid-query) and below the metrics registry (lazy counter init).
-  mutable util::Mutex mu_{util::LockRank::kTranslationCache,
-                          "translation_cache"};
-  size_t capacity_;
+  // Translation runs with the cache mutex released, holding only the
+  // pending entry's lock; kTranslationCache ranks above the table locks
+  // (runtime code may consult the cache mid-query) and below the metrics
+  // registry (lazy counter init).
+  util::LruCache<std::string, CachedTranslation> cache_;
   // Written once at runtime construction, before concurrent use.
   bool verify_attribution_ = false;
-  uint64_t hits_ GUARDED_BY(mu_) = 0;
-  uint64_t misses_ GUARDED_BY(mu_) = 0;
-  std::list<std::string> lru_ GUARDED_BY(mu_);  // front = most recently used
-  struct Entry {
-    std::list<std::string>::iterator lru_it;
-    CachedTranslation translation;
-  };
-  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
 };
 
 }  // namespace gremlin

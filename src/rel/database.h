@@ -1,4 +1,4 @@
-// Database catalog: named tables sharing one buffer pool and lock manager.
+// Database catalog: named tables sharing one buffer pool.
 
 #ifndef SQLGRAPH_REL_DATABASE_H_
 #define SQLGRAPH_REL_DATABASE_H_
@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "rel/buffer_pool.h"
-#include "rel/lock_manager.h"
 #include "rel/table.h"
 #include "util/status.h"
 
@@ -33,7 +32,6 @@ class Database {
   util::Status DropTable(const std::string& name);
 
   BufferPool* buffer_pool() { return &pool_; }
-  LockManager* lock_manager() { return &locks_; }
 
   /// Serialized footprint of all tables ("size on disk").
   size_t TotalSerializedBytes() const;
@@ -49,7 +47,6 @@ class Database {
 
  private:
   BufferPool pool_;
-  LockManager locks_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
 };
 

@@ -2247,6 +2247,17 @@ std::string ResultSet::ToString(size_t max_rows) const {
 
 // ------------------------------------------------------------ PlanCache ----
 
+Result<PreparedQueryPtr> PreparedQuery::Compile(std::string_view sql_text,
+                                                uint64_t epoch) {
+  ASSIGN_OR_RETURN(SqlQuery parsed, ParseQuery(sql_text));
+  auto prepared = std::make_shared<PreparedQuery>();
+  prepared->sql_ = PlanCache::NormalizeSql(sql_text);
+  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(parsed));
+  prepared->memo_ = std::make_shared<PlanMemo>();
+  prepared->epoch_ = epoch;
+  return PreparedQueryPtr(std::move(prepared));
+}
+
 std::string PlanCache::NormalizeSql(std::string_view sql_text) {
   std::string out;
   out.reserve(sql_text.size());
@@ -2277,86 +2288,35 @@ std::string PlanCache::NormalizeSql(std::string_view sql_text) {
 Result<PreparedQueryPtr> PlanCache::GetOrPrepare(std::string_view sql_text,
                                                  uint64_t epoch,
                                                  ExecStats* stats) {
-  std::string key = NormalizeSql(sql_text);
-  {
-    util::MutexLock guard(&mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.prepared->schema_epoch() == epoch) {
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        ++hits_;
-        if (stats != nullptr) ++stats->plan_cache_hits;
-        static obs::Counter* hit_counter =
-            obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.hits");
-        hit_counter->Increment();
-        return it->second.prepared;
-      }
-      // Compiled under an older schema epoch: evict and re-prepare.
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
-    }
-    ++misses_;
-    static obs::Counter* miss_counter =
-        obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.misses");
-    miss_counter->Increment();
-  }
-
-  // Miss: parse outside the lock.
-  const auto start = std::chrono::steady_clock::now();
-  Result<SqlQuery> parsed = ParseQuery(key);
-  const uint64_t elapsed = ElapsedNs(start);
+  const std::string key = NormalizeSql(sql_text);
+  uint64_t prepare_ns = 0;
+  bool hit = false;
+  Result<PreparedQueryPtr> prepared = cache_.GetOrLoad(
+      key,
+      [&] {
+        const auto start = std::chrono::steady_clock::now();
+        Result<PreparedQueryPtr> compiled = PreparedQuery::Compile(key, epoch);
+        prepare_ns = ElapsedNs(start);
+        return compiled;
+      },
+      [epoch](const PreparedQueryPtr& cached) {
+        return cached->schema_epoch() == epoch;
+      },
+      &hit);
+  static obs::Counter* hit_counter =
+      obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.hits");
+  static obs::Counter* miss_counter =
+      obs::MetricsRegistry::Default().GetCounter("sql.plan_cache.misses");
+  (hit ? hit_counter : miss_counter)->Increment();
   if (stats != nullptr) {
-    ++stats->plan_cache_misses;
-    stats->prepare_ns += elapsed;
-  }
-  if (!parsed.ok()) return parsed.status();
-
-  auto prepared = std::make_shared<PreparedQuery>();
-  prepared->sql_ = key;
-  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(parsed).value());
-  prepared->memo_ = std::make_shared<PlanMemo>();
-  prepared->epoch_ = epoch;
-  PreparedQueryPtr result = prepared;
-
-  util::MutexLock guard(&mu_);
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    if (it->second.prepared->schema_epoch() == epoch) {
-      // Another thread prepared the same statement concurrently; share its
-      // entry so the memo fills in once.
-      return it->second.prepared;
+    if (hit) {
+      ++stats->plan_cache_hits;
+    } else {
+      ++stats->plan_cache_misses;
+      stats->prepare_ns += prepare_ns;
     }
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
   }
-  lru_.push_front(key);
-  entries_.emplace(std::move(key), Entry{lru_.begin(), result});
-  while (entries_.size() > capacity_ && !lru_.empty()) {
-    entries_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  return result;
-}
-
-void PlanCache::Clear() {
-  util::MutexLock guard(&mu_);
-  entries_.clear();
-  lru_.clear();
-}
-
-size_t PlanCache::size() const {
-  util::MutexLock guard(&mu_);
-  return entries_.size();
-}
-
-uint64_t PlanCache::hits() const {
-  util::MutexLock guard(&mu_);
-  return hits_;
-}
-
-uint64_t PlanCache::misses() const {
-  util::MutexLock guard(&mu_);
-  return misses_;
+  return prepared;
 }
 
 // ------------------------------------------------------------- Executor ----
@@ -2413,16 +2373,11 @@ Result<PreparedQueryPtr> Executor::Prepare(std::string_view sql_text) {
   }
   // One-off prepared statement without a shared cache.
   const auto start = std::chrono::steady_clock::now();
-  Result<SqlQuery> parsed = ParseQuery(sql_text);
+  Result<PreparedQueryPtr> prepared =
+      PreparedQuery::Compile(sql_text, schema_epoch_);
   stats_.prepare_ns += ElapsedNs(start);
   ++stats_.plan_cache_misses;
-  if (!parsed.ok()) return parsed.status();
-  auto prepared = std::make_shared<PreparedQuery>();
-  prepared->sql_ = PlanCache::NormalizeSql(sql_text);
-  prepared->ast_ = std::make_shared<const SqlQuery>(std::move(parsed).value());
-  prepared->memo_ = std::make_shared<PlanMemo>();
-  prepared->epoch_ = schema_epoch_;
-  return PreparedQueryPtr(prepared);
+  return prepared;
 }
 
 Result<ResultSet> Executor::ExecutePrepared(const PreparedQuery& prepared,

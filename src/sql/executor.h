@@ -17,19 +17,17 @@
 // Prepared queries: Prepare() lexes/parses once and returns a PreparedQuery
 // holding the shared AST plus a PlanMemo that records the per-table-ref
 // access-path decisions on first execution; ExecutePrepared() replays them
-// with fresh bind values, skipping lex/parse/plan. A PlanCache (LRU keyed by
-// normalized SQL text) shares PreparedQuery instances across Executor
-// instances; entries are invalidated by schema-epoch mismatch.
+// with fresh bind values, skipping lex/parse/plan. A PlanCache (single-flight
+// LRU keyed by normalized SQL text) shares PreparedQuery instances across
+// Executor instances; entries are invalidated by schema-epoch mismatch.
 
 #ifndef SQLGRAPH_SQL_EXECUTOR_H_
 #define SQLGRAPH_SQL_EXECUTOR_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -37,8 +35,8 @@
 #include "sql/ast.h"
 #include "sql/expr_eval.h"
 #include "sql/result.h"
+#include "util/lru_cache.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace sqlgraph {
 namespace sql {
@@ -80,6 +78,11 @@ class PlanMemo;
 /// concurrently; the memo fills in on first execution.
 class PreparedQuery {
  public:
+  /// Parses `sql_text` into a fresh statement compiled under `epoch`, with
+  /// an empty memo. Uncached; PlanCache is the shared route.
+  static util::Result<std::shared_ptr<const PreparedQuery>> Compile(
+      std::string_view sql_text, uint64_t epoch);
+
   const std::string& sql() const { return sql_; }
   const SqlQuery& query() const { return *ast_; }
   int param_count() const { return ast_->num_params; }
@@ -88,8 +91,6 @@ class PreparedQuery {
   PlanMemo* memo() const { return memo_.get(); }
 
  private:
-  friend class Executor;
-  friend class PlanCache;
   std::string sql_;
   std::shared_ptr<const SqlQuery> ast_;
   std::shared_ptr<PlanMemo> memo_;
@@ -98,14 +99,16 @@ class PreparedQuery {
 
 using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 
-/// Thread-safe LRU cache of PreparedQuery instances keyed by
-/// whitespace-normalized SQL text. Entries carry the schema epoch they were
-/// compiled under; a lookup with a different epoch evicts and re-prepares,
-/// which is how DDL-equivalent store events (spill-row creation, Compact)
-/// invalidate stale plans.
+/// Thread-safe, single-flight LRU cache (util::LruCache) of PreparedQuery
+/// instances keyed by whitespace-normalized SQL text. Concurrent first
+/// callers for one text parse it once. Entries carry the schema epoch they
+/// were compiled under; a lookup with a different epoch evicts and
+/// re-prepares, which is how DDL-equivalent store events (spill-row
+/// creation, Compact) invalidate stale plans.
 class PlanCache {
  public:
-  explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
+  explicit PlanCache(size_t capacity = 256)
+      : cache_(capacity, util::LockRank::kPlanCache, "plan_cache") {}
 
   /// Returns the cached statement for `sql_text` at `epoch`, parsing and
   /// inserting on miss. Counts hits/misses both internally and, when
@@ -116,30 +119,18 @@ class PlanCache {
 
   /// Drops every cached plan (coarse invalidation; epoch mismatch already
   /// handles the incremental case).
-  void Clear();
+  void Clear() { cache_.Clear(); }
 
-  size_t size() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
+  size_t size() const { return cache_.size(); }
+  uint64_t hits() const { return cache_.hits(); }
+  uint64_t misses() const { return cache_.misses(); }
 
   /// Collapses whitespace runs so textual variants of one template share a
   /// cache entry.
   static std::string NormalizeSql(std::string_view sql_text);
 
  private:
-  // Held only around map/LRU bookkeeping; parsing runs outside. Ranks below
-  // the per-statement PlanMemo lock (GetOrPrepare never nests them, but the
-  // memo is filled while execution logically "inside" a prepared statement).
-  mutable util::Mutex mu_{util::LockRank::kPlanCache, "plan_cache"};
-  size_t capacity_;
-  uint64_t hits_ GUARDED_BY(mu_) = 0;
-  uint64_t misses_ GUARDED_BY(mu_) = 0;
-  std::list<std::string> lru_ GUARDED_BY(mu_);  // front = most recently used
-  struct Entry {
-    std::list<std::string>::iterator lru_it;
-    PreparedQueryPtr prepared;
-  };
-  std::unordered_map<std::string, Entry> entries_ GUARDED_BY(mu_);
+  util::LruCache<std::string, PreparedQueryPtr> cache_;
 };
 
 class Executor {

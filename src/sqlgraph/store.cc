@@ -836,8 +836,7 @@ Result<std::optional<EdgeId>> SqlGraphStore::FindEdge(
   binds.positional.emplace_back(static_cast<int64_t>(dst));
   ASSIGN_OR_RETURN(
       sql::ResultSet rs,
-      RunTemplate(kTplFindEdge,
-                  "SELECT EID FROM EA WHERE INV = ? AND LBL = ? AND OUTV = ?",
+      RunTemplate("SELECT EID FROM EA WHERE INV = ? AND LBL = ? AND OUTV = ?",
                   std::move(binds)));
   if (rs.rows.empty()) return std::optional<EdgeId>();
   return std::optional<EdgeId>(static_cast<EdgeId>(rs.rows[0][0].AsInt()));
@@ -870,15 +869,13 @@ Result<std::vector<EdgeRecord>> SqlGraphStore::GetOutEdgesAt(
   sql::ResultSet rs;
   if (label.empty()) {
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutEdgesAny,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
+        rs, RunTemplate("SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
                         "WHERE INV = ?",
                         std::move(binds), read_ts));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutEdgesLbl,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
+        rs, RunTemplate("SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
                         "WHERE INV = ? AND LBL = ?",
                         std::move(binds), read_ts));
   }
@@ -898,15 +895,13 @@ Result<std::vector<EdgeRecord>> SqlGraphStore::GetInEdgesAt(
   sql::ResultSet rs;
   if (label.empty()) {
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInEdgesAny,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
+        rs, RunTemplate("SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
                         "WHERE OUTV = ?",
                         std::move(binds), read_ts));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInEdgesLbl,
-                        "SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
+        rs, RunTemplate("SELECT EID, INV, OUTV, LBL, ATTR FROM EA "
                         "WHERE OUTV = ? AND LBL = ?",
                         std::move(binds), read_ts));
   }
@@ -919,8 +914,7 @@ Result<json::JsonValue> SqlGraphStore::GetVertexAt(int64_t vid,
   sql::ParamBindings binds;
   binds.positional.emplace_back(vid);
   ASSIGN_OR_RETURN(sql::ResultSet rs,
-                   RunTemplate(kTplGetVertex,
-                               "SELECT VID, ATTR FROM VA WHERE VID = ?",
+                   RunTemplate("SELECT VID, ATTR FROM VA WHERE VID = ?",
                                std::move(binds), read_ts));
   if (rs.rows.empty()) {
     return Status::NotFound("vertex " + std::to_string(vid));
@@ -936,8 +930,7 @@ Result<EdgeRecord> SqlGraphStore::GetEdgeAt(int64_t eid,
   binds.positional.emplace_back(eid);
   ASSIGN_OR_RETURN(
       sql::ResultSet rs,
-      RunTemplate(kTplGetEdge,
-                  "SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE EID = ?",
+      RunTemplate("SELECT EID, INV, OUTV, LBL, ATTR FROM EA WHERE EID = ?",
                   std::move(binds), read_ts));
   if (rs.rows.empty()) {
     return Status::NotFound("edge " + std::to_string(eid));
@@ -953,14 +946,12 @@ Result<int64_t> SqlGraphStore::CountOutEdges(VertexId src,
   sql::ResultSet rs;
   if (label.empty()) {
     ASSIGN_OR_RETURN(rs,
-                     RunTemplate(kTplCountAny,
-                                 "SELECT COUNT(*) FROM EA WHERE INV = ?",
+                     RunTemplate("SELECT COUNT(*) FROM EA WHERE INV = ?",
                                  std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplCountLbl,
-                        "SELECT COUNT(*) FROM EA WHERE INV = ? AND LBL = ?",
+        rs, RunTemplate("SELECT COUNT(*) FROM EA WHERE INV = ? AND LBL = ?",
                         std::move(binds)));
   }
   if (rs.rows.empty()) return int64_t{0};
@@ -974,14 +965,12 @@ Result<std::vector<VertexId>> SqlGraphStore::Out(
   binds.positional.emplace_back(static_cast<int64_t>(vid));
   sql::ResultSet rs;
   if (label.empty()) {
-    ASSIGN_OR_RETURN(rs, RunTemplate(kTplOutAny,
-                                     "SELECT OUTV FROM EA WHERE INV = ?",
+    ASSIGN_OR_RETURN(rs, RunTemplate("SELECT OUTV FROM EA WHERE INV = ?",
                                      std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplOutLbl,
-                        "SELECT OUTV FROM EA WHERE INV = ? AND LBL = ?",
+        rs, RunTemplate("SELECT OUTV FROM EA WHERE INV = ? AND LBL = ?",
                         std::move(binds)));
   }
   std::vector<VertexId> out;
@@ -999,14 +988,12 @@ Result<std::vector<VertexId>> SqlGraphStore::In(
   binds.positional.emplace_back(static_cast<int64_t>(vid));
   sql::ResultSet rs;
   if (label.empty()) {
-    ASSIGN_OR_RETURN(rs, RunTemplate(kTplInAny,
-                                     "SELECT INV FROM EA WHERE OUTV = ?",
+    ASSIGN_OR_RETURN(rs, RunTemplate("SELECT INV FROM EA WHERE OUTV = ?",
                                      std::move(binds)));
   } else {
     binds.positional.emplace_back(label);
     ASSIGN_OR_RETURN(
-        rs, RunTemplate(kTplInLbl,
-                        "SELECT INV FROM EA WHERE OUTV = ? AND LBL = ?",
+        rs, RunTemplate("SELECT INV FROM EA WHERE OUTV = ? AND LBL = ?",
                         std::move(binds)));
   }
   std::vector<VertexId> out;
@@ -1137,22 +1124,11 @@ sql::ExecStats SqlGraphStore::last_exec_stats() const {
 }
 
 Result<sql::ResultSet> SqlGraphStore::RunTemplate(
-    TemplateId id, const char* text, sql::ParamBindings params,
-    uint64_t read_ts) const {
+    const char* text, sql::ParamBindings params, uint64_t read_ts) const {
   const uint64_t epoch = schema_epoch();
-  sql::PreparedQueryPtr prepared;
-  {
-    util::MutexLock guard(&tpl_mu_);
-    prepared = templates_[id];
-    if (prepared == nullptr || prepared->schema_epoch() != epoch) {
-      // (Re-)compile through the shared plan cache; self-heals after any
-      // schema-epoch bump.
-      auto compiled = plan_cache_.GetOrPrepare(text, epoch, nullptr);
-      if (!compiled.ok()) return compiled.status();
-      prepared = std::move(compiled).value();
-      templates_[id] = prepared;
-    }
-  }
+  // The shared plan cache compiles each template once per schema epoch.
+  ASSIGN_OR_RETURN(sql::PreparedQueryPtr prepared,
+                   plan_cache_.GetOrPrepare(text, epoch, nullptr));
   sql::Executor exec(const_cast<rel::Database*>(&db_),
                      ExecOptionsFor(config_, read_ts));
   exec.set_plan_cache(&plan_cache_, epoch);

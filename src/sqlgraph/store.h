@@ -387,30 +387,14 @@ class SqlGraphStore {
                                                   uint64_t read_ts,
                                                   sql::ExecStats* stats);
 
-  // Prepared adjacency templates over EA (the §3.5 combined-index fast
-  // path); compiled lazily, self-healing on schema-epoch change.
-  enum TemplateId {
-    kTplOutEdgesAny = 0,
-    kTplOutEdgesLbl,
-    kTplCountAny,
-    kTplCountLbl,
-    kTplOutAny,
-    kTplOutLbl,
-    kTplInAny,
-    kTplInLbl,
-    kTplFindEdge,
-    kTplInEdgesAny,
-    kTplInEdgesLbl,
-    kTplGetVertex,
-    kTplGetEdge,
-    kNumTemplates,
-  };
-  /// Executes one of the fixed adjacency templates with the given binds.
-  /// Caller holds the table locks the template's SQL needs (templates read
-  /// only EA, except kTplGetVertex which reads VA). Does not update
-  /// last_stats_ — adjacency calls are the hot path and never carried stats
-  /// before. A non-zero `read_ts` pins the execution to that MVCC snapshot.
-  util::Result<sql::ResultSet> RunTemplate(TemplateId id, const char* text,
+  /// Executes one of the fixed adjacency templates (the §3.5 combined-index
+  /// fast path) with the given binds; the template text is compiled through
+  /// plan_cache_, once per schema epoch. Caller holds the table locks the
+  /// template's SQL needs (templates read only EA, except the vertex lookup,
+  /// which reads VA). Does not update last_stats_ — adjacency calls are the
+  /// hot path and never carried stats before. A non-zero `read_ts` pins the
+  /// execution to that MVCC snapshot.
+  util::Result<sql::ResultSet> RunTemplate(const char* text,
                                            sql::ParamBindings params,
                                            uint64_t read_ts = 0) const;
   void BumpSchemaEpoch() {
@@ -462,9 +446,6 @@ class SqlGraphStore {
   std::atomic<uint64_t> schema_epoch_{0};
   mutable util::Mutex stats_mu_{util::LockRank::kStoreStats, "store_stats"};
   mutable sql::ExecStats last_stats_ GUARDED_BY(stats_mu_);
-  mutable util::Mutex tpl_mu_{util::LockRank::kStoreTemplates,
-                              "store_templates"};
-  mutable sql::PreparedQueryPtr templates_[kNumTemplates] GUARDED_BY(tpl_mu_);
 
   // ---- MVCC transaction state (DESIGN.md §12) ---------------------------
   // Last assigned commit timestamp. Starts at 1 (the bulk load is "commit

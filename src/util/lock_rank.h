@@ -22,7 +22,6 @@
 //                      subsystem; never nested with sqlgraph locks)
 //   kStoreTable        the six table locks, sub-ordered by TableIdx
 //                      (OPA < IPA < OSA < ISA < VA < EA)
-//   kRowStripe         rel::LockManager stripes, sub-ordered by stripe index
 //   kStoreCounter      id-counter lock; taken while holding table locks
 //                      (list-id allocation inside AddAdjacencyEntry)
 //   kTxnManager        SqlGraphStore::txn_mu_ — conflict map + active-txn
@@ -36,10 +35,12 @@
 //                      nothing it is ever held with
 //   kBufferPool        rel::BufferPool::mu_ — frame lookups and inserts
 //                      during reads that already hold table locks
-//   kStoreTemplates    SqlGraphStore::tpl_mu_ — compiles through the plan
-//                      cache, so it must rank below it
-//   kTranslationCache  gremlin::TranslationCache::mu_
-//   kPlanCache         sql::PlanCache::mu_
+//   kTranslationCache  gremlin::TranslationCache's util::LruCache
+//   kPlanCache         sql::PlanCache's util::LruCache — also reached from
+//                      the store's CRUD templates under table locks. A
+//                      cache's pending-load mutexes share its rank at
+//                      order 1, held by the loader for the whole load, so
+//                      a load may take only locks ranked above its cache
 //   kPlanMemo          sql::PlanMemo::mu_ (leaf; plain map accessors)
 //   kStoreStats        SqlGraphStore::stats_mu_ (leaf)
 //   kMetricsRegistry   obs::MetricsRegistry::mu_ — metric creation happens
@@ -68,12 +69,10 @@ enum class LockRank : int {
   kWalRotate = 10,
   kBaselineStore = 15,
   kStoreTable = 20,
-  kRowStripe = 25,
   kStoreCounter = 30,
   kTxnManager = 35,
   kWalWriter = 40,
   kBufferPool = 50,
-  kStoreTemplates = 60,
   kTranslationCache = 70,
   kPlanCache = 80,
   kPlanMemo = 85,
@@ -82,9 +81,9 @@ enum class LockRank : int {
 };
 
 /// Identity of one ranked mutex. `order` sub-orders mutexes that share a
-/// rank and are legitimately held together (table locks by TableIdx, lock
-/// stripes by stripe index); two distinct mutexes with the same
-/// (rank, order) may never be held by one thread at once.
+/// rank and are legitimately held together (table locks by TableIdx, a
+/// cache mutex then its pending-load mutex); two distinct mutexes with the
+/// same (rank, order) may never be held by one thread at once.
 struct LockRankInfo {
   LockRank rank = LockRank::kUnranked;
   int order = 0;

@@ -21,7 +21,6 @@
 #include "gtest/gtest.h"
 #include "json/json_parser.h"
 #include "rel/buffer_pool.h"
-#include "rel/lock_manager.h"
 #include "sqlgraph/store.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
@@ -79,10 +78,11 @@ TEST(LockRankDeathTest, SharedAcquisitionIsAlsoChecked) {
 
 TEST(LockRankDeathTest, SameRankEqualOrderAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Two stripes with the same (rank, order) pair — acquiring the second
-  // while holding the first is exactly the two-stripe deadlock.
-  SharedMutex a(LockRank::kRowStripe, "stripe", 7);
-  SharedMutex b(LockRank::kRowStripe, "stripe", 7);
+  // Two mutexes with the same (rank, order) pair — nothing orders them, so
+  // acquiring the second while holding the first can deadlock against a
+  // thread that takes them the other way round.
+  Mutex a(LockRank::kStoreTable, "table_twin_a", 4);
+  Mutex b(LockRank::kStoreTable, "table_twin_b", 4);
   EXPECT_DEATH(
       {
         SetLockRankCheckingEnabled(true);
@@ -156,12 +156,24 @@ TEST(LockRankTest, AscendingRanksAreClean) {
 
 TEST(LockRankTest, SameRankAscendingOrderIsClean) {
   ScopedRankChecking check(true);
-  rel::LockManager lm;
-  // PairExclusiveGuard sorts stripes ascending; random key pairs must never
-  // trip the validator.
-  for (uint64_t a = 0; a < 32; ++a) {
-    rel::LockManager::PairExclusiveGuard guard(&lm, a, a * 977 + 13);
+  // Same-rank mutexes sub-ordered like the six table locks: every pair
+  // taken in ascending order, then all six at once, must never trip the
+  // validator.
+  constexpr int kN = 6;
+  std::vector<std::unique_ptr<Mutex>> mus;
+  for (int i = 0; i < kN; ++i) {
+    mus.push_back(std::make_unique<Mutex>(LockRank::kStoreTable, "table", i));
   }
+  for (int a = 0; a < kN; ++a) {
+    for (int b = a + 1; b < kN; ++b) {
+      mus[a]->lock();
+      mus[b]->lock();
+      mus[b]->unlock();
+      mus[a]->unlock();
+    }
+  }
+  for (auto& mu : mus) mu->lock();
+  for (auto& mu : mus) mu->unlock();
 }
 
 TEST(LockRankTest, OutOfOrderReleaseIsClean) {
@@ -236,6 +248,10 @@ TEST(LockRankTest, StoreWorkloadRespectsHierarchy) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
+      // This worker's previous vertex. Ids are drawn before a vertex's row
+      // is written, so another worker's id may not have a row yet; a
+      // worker's own vertices always do.
+      core::VertexId prev = 0;
       for (int i = 0; i < kOpsPerThread; ++i) {
         auto v = (*store)->AddVertex(Attrs({{"n", i}}));
         if (!v.ok()) {
@@ -243,11 +259,12 @@ TEST(LockRankTest, StoreWorkloadRespectsHierarchy) {
           return;
         }
         if (i > 0) {
-          auto e = (*store)->AddEdge(*v - 1, *v, "next", Attrs({}));
+          auto e = (*store)->AddEdge(prev, *v, "next", Attrs({}));
           if (!e.ok()) failed = true;
-          (void)(*store)->Out(*v - 1);
-          (void)(*store)->CountOutEdges(*v - 1, "next");
+          (void)(*store)->Out(prev);
+          (void)(*store)->CountOutEdges(prev, "next");
         }
+        prev = *v;
         if (t == 0 && i % 16 == 0) {
           if (!(*store)->Checkpoint().ok()) failed = true;
         }

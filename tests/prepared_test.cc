@@ -216,9 +216,8 @@ TEST_F(PreparedTest, AdjacencyCallsReuseTemplates) {
     ASSERT_TRUE(out.ok());
     EXPECT_EQ(out->size(), 3u);
   }
-  // The warm path reuses the compiled template handles: no further
-  // compilations (the handles bypass even the cache's hash lookup, so hit
-  // counters intentionally stay flat too).
+  // The warm path reuses the compiled templates: every call is a plan-cache
+  // hit, with no further compilations.
   EXPECT_EQ(store_->plan_cache().misses(), misses_after_warmup);
 }
 

@@ -1,5 +1,5 @@
 // Tests for src/rel: values, codec, row stores, buffer pool, indexes,
-// tables, database catalog, lock manager.
+// tables, database catalog.
 
 #include <atomic>
 #include <thread>
@@ -8,7 +8,6 @@
 #include "json/json_parser.h"
 #include "rel/codec.h"
 #include "rel/database.h"
-#include "rel/lock_manager.h"
 #include "util/rng.h"
 
 namespace sqlgraph {
@@ -641,44 +640,6 @@ TEST(DatabaseTest, PagedTableUsesSharedPool) {
   }
   EXPECT_GT((*t)->SerializedBytes(), 0u);
   EXPECT_GT(db.TotalSerializedBytes(), 0u);
-}
-
-// ------------------------------------------------------------ LockManager --
-
-TEST(LockManagerTest, ConcurrentExclusiveIncrements) {
-  LockManager lm;
-  int counter = 0;  // protected by stripe of key 7
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) {
-        LockManager::ExclusiveGuard guard(&lm, 7);
-        ++counter;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 8000);
-}
-
-TEST(LockManagerTest, PairGuardAvoidsDeadlock) {
-  LockManager lm;
-  std::atomic<int> done{0};
-  std::thread a([&] {
-    for (int i = 0; i < 2000; ++i) {
-      LockManager::PairExclusiveGuard g(&lm, 1, 2);
-    }
-    done.fetch_add(1);
-  });
-  std::thread b([&] {
-    for (int i = 0; i < 2000; ++i) {
-      LockManager::PairExclusiveGuard g(&lm, 2, 1);
-    }
-    done.fetch_add(1);
-  });
-  a.join();
-  b.join();
-  EXPECT_EQ(done.load(), 2);
 }
 
 }  // namespace

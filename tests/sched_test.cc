@@ -13,8 +13,8 @@
 //    snapshot scans (raw rel::Table, exhaustive), store-level txn
 //    begin/end vs autocommit trims (PCT), a WAL group-commit protocol
 //    model with crash-point injection (correct variant exhaustively safe,
-//    ack-before-fsync variant caught), and buffer-pool eviction vs a
-//    pinned page.
+//    ack-before-fsync variant caught), buffer-pool eviction vs a pinned
+//    page, and the real util::LruCache's single-flight load (exhaustive).
 //
 // The PCT trial count is SQLGRAPH_SCHED_TRIALS when set (the CI sched
 // stage elevates it); defaults here keep the default ctest run fast.
@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "rel/table.h"
 #include "sqlgraph/store.h"
 #include "sqlgraph/txn.h"
+#include "util/lru_cache.h"
 #include "util/sched.h"
 #include "util/thread_annotations.h"
 
@@ -703,6 +705,108 @@ TEST(SchedModelTest, BufferPoolEvictionVsPinnedPagePct) {
   ScheduleResult r = ex.RunPct(bodies);
   EXPECT_TRUE(r.ok) << r.failure << "\nreplay: " << r.token;
   EXPECT_TRUE(r.races.empty());
+}
+
+// The real util::LruCache with two first callers for one key. Load n
+// returns 42 or fails with "load n"; each caller keeps what it got.
+struct LruCacheModel {
+  std::unique_ptr<LruCache<std::string, int>> cache;
+  SharedAtomic<int> loads{0, "loads"};
+  std::array<std::optional<Result<int>>, 2> got;
+
+  void Reset() {
+    cache = std::make_unique<LruCache<std::string, int>>(
+        8, LockRank::kPlanCache, "model_cache");
+    loads.store(0);
+    got = {};
+  }
+  Bodies Callers(bool fail) {
+    auto call = [this, fail](int who) {
+      got[who] = cache->GetOrLoad("k", [this, fail]() -> Result<int> {
+        const int n = loads.fetch_add(1) + 1;
+        Yield();  // the window a second caller may arrive in
+        if (fail) return Status::Internal("load " + std::to_string(n));
+        return 42;
+      });
+    };
+    return {[call] { call(0); }, [call] { call(1); }};
+  }
+};
+
+TEST(SchedModelTest, LruCacheSingleFlightLoadsOnceExhaustive) {
+  LruCacheModel m;
+  SchedOptions opts;
+  opts.setup = [&] { m.Reset(); };
+  opts.invariant = [&]() -> std::string {
+    if (m.loads.PeekUnchecked() != 1) {
+      return std::to_string(m.loads.PeekUnchecked()) + " loads for one key";
+    }
+    for (const auto& got : m.got) {
+      if (!got.has_value() || !got->ok() || got->value() != 42) {
+        return "a caller did not receive the loaded value";
+      }
+    }
+    if (m.cache->misses() != 1 || m.cache->hits() != 1) {
+      return "expected one miss and one hit, got " +
+             std::to_string(m.cache->misses()) + " and " +
+             std::to_string(m.cache->hits());
+    }
+    if (m.cache->size() != 1) return "loaded value was not cached";
+    return "";
+  };
+
+  Explorer ex(opts);
+  ScheduleResult r = ex.RunDfs(m.Callers(/*fail=*/false));
+  EXPECT_TRUE(r.ok) << r.failure << "\nreplay: " << r.token;
+  EXPECT_TRUE(r.exhausted) << "cache model must be fully explored";
+  EXPECT_GE(r.schedules, 2u) << "both arrival orders must be visited";
+  EXPECT_TRUE(r.races.empty());
+}
+
+TEST(SchedModelTest, LruCacheFailedLoadReachesWaiterAndIsNotCached) {
+  LruCacheModel m;
+  int shared_failures = 0;
+  int reloads = 0;
+  SchedOptions opts;
+  opts.setup = [&] { m.Reset(); };
+  opts.invariant = [&]() -> std::string {
+    const int loads = m.loads.PeekUnchecked();
+    for (const auto& got : m.got) {
+      if (!got.has_value() || got->ok()) {
+        return "a caller did not receive the failed load's status";
+      }
+    }
+    if (m.cache->size() != 0) return "failed load was cached";
+    if (m.cache->misses() != static_cast<uint64_t>(loads)) {
+      return "misses do not match loads";
+    }
+    if (loads == 1) {
+      // The second caller waited on the first's load: same status, one hit.
+      if (m.got[0]->status().message() != "load 1" ||
+          m.got[1]->status().message() != "load 1" || m.cache->hits() != 1) {
+        return "the waiter did not receive the loader's failure";
+      }
+      ++shared_failures;
+    } else if (loads == 2) {
+      // The failure was dropped before the second caller looked: it loaded
+      // afresh and got its own status.
+      if (m.got[0]->status().message() == m.got[1]->status().message()) {
+        return "two loads, yet both callers got the same status";
+      }
+      ++reloads;
+    } else {
+      return std::to_string(loads) + " loads for two callers";
+    }
+    return "";
+  };
+
+  Explorer ex(opts);
+  ScheduleResult r = ex.RunDfs(m.Callers(/*fail=*/true));
+  EXPECT_TRUE(r.ok) << r.failure << "\nreplay: " << r.token;
+  EXPECT_TRUE(r.exhausted) << "cache model must be fully explored";
+  EXPECT_TRUE(r.races.empty());
+  EXPECT_GT(shared_failures, 0) << "no schedule shared a failed load";
+  EXPECT_GT(reloads, 0) << "no schedule reloaded after a failure";
 }
 
 }  // namespace

@@ -529,18 +529,24 @@ TEST(TxnTortureTest, ConcurrentTransfersPreserveInvariant) {
 
   std::atomic<bool> failed{false};
   std::atomic<uint64_t> transfers_done{0};
+  // Writers that have read their first transfer's accounts. Every writer's
+  // first transfer moves balance out of accounts[0] and commits only once
+  // all writers have read it, so all first transfers overlap on one vertex
+  // and first-committer-wins must reject at least kWriters - 1 commits.
+  std::atomic<int> first_reads{0};
 
   auto writer = [&](int worker) {
     util::Rng rng(seed ^ 0xabcdef ^ static_cast<uint64_t>(worker));
     for (int i = 0; i < kTransfersPerWriter && !failed.load(); ++i) {
-      const size_t from_idx = rng.Uniform(kAccounts);
+      size_t from_idx = rng.Uniform(kAccounts);
+      if (i == 0) from_idx = 0;
       size_t to_idx = rng.Uniform(kAccounts);
       if (to_idx == from_idx) to_idx = (from_idx + 1) % kAccounts;
       const VertexId from = accounts[from_idx];
       const VertexId to = accounts[to_idx];
       const int64_t amount = 1 + static_cast<int64_t>(rng.Uniform(10));
       // Retry-on-conflict loop: snapshot isolation makes losing normal.
-      for (;;) {
+      for (bool first_attempt = true;; first_attempt = false) {
         auto txn = store->BeginTxn();
         auto src = txn->GetVertex(from);
         auto dst = txn->GetVertex(to);
@@ -558,6 +564,12 @@ TEST(TxnTortureTest, ConcurrentTransfersPreserveInvariant) {
                  .ok()) {
           failed = true;
           break;
+        }
+        if (i == 0 && first_attempt) {
+          first_reads.fetch_add(1);
+          while (first_reads.load() < kWriters && !failed.load()) {
+            std::this_thread::yield();
+          }
         }
         util::Status st = txn->Commit();
         if (st.ok()) {

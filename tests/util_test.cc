@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -218,6 +221,101 @@ TEST(StopwatchTest, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink += i;
   EXPECT_GT(sw.ElapsedNanos(), 0u);
   EXPECT_GE(sw.ElapsedSeconds(), 0.0);
+}
+
+// -------------------------------------------------------------- LruCache --
+
+using IntCache = LruCache<int, int>;
+
+TEST(LruCacheTest, LoadsOnceThenHits) {
+  IntCache cache(4, LockRank::kPlanCache, "test_cache");
+  int loads = 0;
+  auto load = [&]() -> Result<int> { return ++loads * 10; };
+  bool hit = true;
+  auto first = cache.GetOrLoad(1, load, &hit);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, 10);
+  EXPECT_FALSE(hit);
+  auto second = cache.GetOrLoad(1, load, &hit);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, 10);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  IntCache cache(2, LockRank::kPlanCache, "test_cache");
+  int loads = 0;
+  auto load = [&]() -> Result<int> { return ++loads; };
+  ASSERT_TRUE(cache.GetOrLoad(1, load).ok());
+  ASSERT_TRUE(cache.GetOrLoad(2, load).ok());
+  ASSERT_TRUE(cache.GetOrLoad(1, load).ok());  // 2 is now least recent
+  ASSERT_TRUE(cache.GetOrLoad(3, load).ok());  // evicts 2
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(loads, 3);
+  ASSERT_TRUE(cache.GetOrLoad(1, load).ok());
+  EXPECT_EQ(loads, 3);
+  ASSERT_TRUE(cache.GetOrLoad(2, load).ok());
+  EXPECT_EQ(loads, 4);
+}
+
+TEST(LruCacheTest, StaleEntryIsReplaced) {
+  IntCache cache(4, LockRank::kPlanCache, "test_cache");
+  int version = 1;
+  auto load = [&]() -> Result<int> { return version; };
+  auto fresh = [&](int cached) { return cached == version; };
+  ASSERT_TRUE(cache.GetOrLoad(7, load, fresh).ok());
+  version = 2;
+  auto reloaded = cache.GetOrLoad(7, load, fresh);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(*reloaded, 2);
+  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCacheTest, FailedLoadIsNotCached) {
+  IntCache cache(4, LockRank::kPlanCache, "test_cache");
+  int loads = 0;
+  auto fail = [&]() -> Result<int> {
+    ++loads;
+    return Status::InvalidArgument("bad key");
+  };
+  auto r = cache.GetOrLoad(5, fail);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "bad key");
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.GetOrLoad(5, fail).ok());
+  EXPECT_EQ(loads, 2);
+  auto ok = cache.GetOrLoad(5, []() -> Result<int> { return 1; });
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCacheTest, ConcurrentFirstCallersLoadOnce) {
+  IntCache cache(4, LockRank::kPlanCache, "test_cache");
+  constexpr int kThreads = 4;
+  std::atomic<int> loads{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto r = cache.GetOrLoad(9, [&]() -> Result<int> {
+        loads.fetch_add(1);
+        // Keep the load open so the other callers arrive while it runs.
+        for (int spin = 0; spin < 1000; ++spin) std::this_thread::yield();
+        return 99;
+      });
+      if (!r.ok() || *r != 99) wrong.fetch_add(1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(loads.load(), 1);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<uint64_t>(kThreads - 1));
 }
 
 }  // namespace
