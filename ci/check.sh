@@ -6,9 +6,11 @@
 # (bench_analytics --quick --check: the vectorized executor must match the
 # row-at-a-time executor's results and not be slower), a paged LinkBench
 # stage (perfbench linkbench_paged for two seconds: shadow check,
-# CheckConsistency() and WAL reopen over a paged store), a
-# concurrency flake gate (the Concurrent/Torture/StoreWorkload tests
-# repeated until fail, up to 50 times), a schedule-exploration stage (the
+# CheckConsistency() and WAL reopen over a paged store), a DBpedia
+# Gremlin stage (perfbench dbpedia for two seconds: every Fig-8a/Table-1
+# answer checked against the interpreter), a concurrency flake gate (the
+# Concurrent/Torture/StoreWorkload tests repeated until fail, up to 50
+# times), a schedule-exploration stage (the
 # util/sched deterministic explorer suites at an elevated PCT trial count),
 # a plan-verification gate (the differential harness at an elevated trial
 # count with sql/verify.h forced on — zero false rejections
@@ -141,6 +143,21 @@ if [[ "${1:-}" != "--fast" ]]; then
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
     "$paged_result"
+
+  echo "== DBpedia Gremlin answers vs interpreter (perfbench dbpedia) =="
+  # The repository benchmark's dbpedia workload checks every answer of the
+  # 20 Fig-8a and 11 Table-1 Gremlin queries against the pipe-at-a-time
+  # interpreter over a NativeStore (and the Table-2 SQL counts against the
+  # generated graph), at warm-up and on every timed run. A two-second run
+  # puts the vectorized CTE chain's answers in CI; the last stdout line must
+  # report "correct": true and "failed": 0.
+  dbpedia_result="$(python3 perfbench/run.py --workload dbpedia \
+    --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+  echo "  $dbpedia_result"
+  python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    "$dbpedia_result"
 
   echo "== plan verification gate (elevated trials + mutation self-tests) =="
   # The build above is unoptimized (no NDEBUG), so Options::verify_plans /

@@ -86,58 +86,88 @@ void EncodeRow(const Row& row, std::string* out) {
   }
 }
 
+namespace {
+
+/// Decodes the value at `*offset` and appends it to `*out`, or, when `out`
+/// is null, only steps over it (no string copy, no JSON parse).
+util::Status DecodeValue(const std::string& buf, size_t* offset, Row* out) {
+  if (*offset >= buf.size()) return util::Status::OutOfRange("truncated row");
+  const uint8_t tag = static_cast<uint8_t>(buf[*offset]);
+  ++*offset;
+  switch (tag) {
+    case kTagNull:
+      if (out != nullptr) out->emplace_back();
+      return util::Status::OK();
+    case kTagFalse:
+    case kTagTrue:
+      if (out != nullptr) out->emplace_back(tag == kTagTrue);
+      return util::Status::OK();
+    case kTagInt: {
+      uint64_t bits;
+      RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
+      if (out != nullptr) out->emplace_back(static_cast<int64_t>(bits));
+      return util::Status::OK();
+    }
+    case kTagDouble: {
+      uint64_t bits;
+      RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
+      double d;
+      std::memcpy(&d, &bits, 8);
+      if (out != nullptr) out->emplace_back(d);
+      return util::Status::OK();
+    }
+    case kTagString:
+    case kTagJson: {
+      uint64_t len;
+      RETURN_NOT_OK(GetVarint(buf, offset, &len));
+      // Overflow-safe form: *offset + len can wrap for adversarial len.
+      if (len > buf.size() - *offset) {
+        return util::Status::OutOfRange(tag == kTagString
+                                            ? "truncated string payload"
+                                            : "truncated json payload");
+      }
+      if (out != nullptr) {
+        if (tag == kTagString) {
+          out->emplace_back(buf.substr(*offset, len));
+        } else {
+          ASSIGN_OR_RETURN(
+              json::JsonValue jv,
+              json::Parse(std::string_view(buf).substr(*offset, len)));
+          out->emplace_back(std::move(jv));
+        }
+      }
+      *offset += len;
+      return util::Status::OK();
+    }
+    default:
+      return util::Status::Internal("bad value tag " + std::to_string(tag));
+  }
+}
+
+}  // namespace
+
 util::Status DecodeRow(const std::string& buf, size_t num_columns,
                        size_t* offset, Row* out) {
   out->clear();
-  out->reserve(num_columns);
-  for (size_t i = 0; i < num_columns; ++i) {
-    if (*offset >= buf.size()) return util::Status::OutOfRange("truncated row");
-    const uint8_t tag = static_cast<uint8_t>(buf[*offset]);
-    ++*offset;
-    switch (tag) {
-      case kTagNull: out->emplace_back(); break;
-      case kTagFalse: out->emplace_back(false); break;
-      case kTagTrue: out->emplace_back(true); break;
-      case kTagInt: {
-        uint64_t bits;
-        RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
-        out->emplace_back(static_cast<int64_t>(bits));
-        break;
-      }
-      case kTagDouble: {
-        uint64_t bits;
-        RETURN_NOT_OK(GetFixed64(buf, offset, &bits));
-        double d;
-        std::memcpy(&d, &bits, 8);
-        out->emplace_back(d);
-        break;
-      }
-      case kTagString: {
-        uint64_t len;
-        RETURN_NOT_OK(GetVarint(buf, offset, &len));
-        // Overflow-safe form: *offset + len can wrap for adversarial len.
-        if (len > buf.size() - *offset) {
-          return util::Status::OutOfRange("truncated string payload");
-        }
-        out->emplace_back(buf.substr(*offset, len));
-        *offset += len;
-        break;
-      }
-      case kTagJson: {
-        uint64_t len;
-        RETURN_NOT_OK(GetVarint(buf, offset, &len));
-        if (len > buf.size() - *offset) {
-          return util::Status::OutOfRange("truncated json payload");
-        }
-        ASSIGN_OR_RETURN(json::JsonValue jv,
-                         json::Parse(std::string_view(buf).substr(*offset, len)));
-        out->emplace_back(std::move(jv));
-        *offset += len;
-        break;
-      }
-      default:
-        return util::Status::Internal("bad value tag " + std::to_string(tag));
-    }
+  return DecodeRowProjected(buf, num_columns, offset, {}, out);
+}
+
+util::Status DecodeRowProjected(const std::string& buf, size_t num_columns,
+                                size_t* offset,
+                                const std::vector<int>& projection, Row* out) {
+  out->reserve(out->size() +
+               (projection.empty() ? num_columns : projection.size()));
+  size_t next = 0;  // cursor into the ascending projection
+  for (size_t c = 0; c < num_columns; ++c) {
+    const bool wanted = projection.empty() ||
+                        (next < projection.size() &&
+                         static_cast<size_t>(projection[next]) == c);
+    if (wanted && !projection.empty()) ++next;
+    RETURN_NOT_OK(DecodeValue(buf, offset, wanted ? out : nullptr));
+  }
+  if (next != projection.size()) {
+    return util::Status::InvalidArgument(
+        "projection is not ascending or names a missing column");
   }
   return util::Status::OK();
 }

@@ -26,6 +26,14 @@ void EncodeRow(const Row& row, std::string* out);
 util::Status DecodeRow(const std::string& buf, size_t num_columns,
                        size_t* offset, Row* out);
 
+/// Decodes one row like DecodeRow but appends only the columns listed in
+/// `projection` (ascending column indexes; empty = every column) to `*out`,
+/// after what it already holds. Skipped strings and JSON documents are
+/// stepped over without being copied or parsed.
+util::Status DecodeRowProjected(const std::string& buf, size_t num_columns,
+                                size_t* offset,
+                                const std::vector<int>& projection, Row* out);
+
 /// Varint helpers (LEB128, unsigned).
 void PutVarint(uint64_t v, std::string* out);
 util::Status GetVarint(const std::string& buf, size_t* offset, uint64_t* out);

@@ -196,6 +196,44 @@ void ColumnVector::AppendGather(const ColumnVector& src,
   for (uint32_t i : sel) AppendFrom(src, i);
 }
 
+void ColumnVector::AppendAll(const ColumnVector& src) {
+  if (!src.typed_ && !src.constant_) {
+    // All NULL: nothing to copy but the row count.
+    for (size_t i = 0; i < src.size_; ++i) AppendNull();
+    return;
+  }
+  if (!constant_ && !src.constant_ && (!typed_ || tag_ == src.tag_)) {
+    if (!typed_) {
+      if (src.tag_ != tag_) Retag(src.tag_);
+      typed_ = true;
+    }
+    nulls_.insert(nulls_.end(), src.nulls_.begin(), src.nulls_.end());
+    switch (tag_) {
+      case Tag::kInt64:
+        ints_.insert(ints_.end(), src.ints_.begin(), src.ints_.end());
+        break;
+      case Tag::kDouble:
+        doubles_.insert(doubles_.end(), src.doubles_.begin(),
+                        src.doubles_.end());
+        break;
+      case Tag::kBool:
+        bools_.insert(bools_.end(), src.bools_.begin(), src.bools_.end());
+        break;
+      case Tag::kString:
+        strings_.insert(strings_.end(), src.strings_.begin(),
+                        src.strings_.end());
+        break;
+      case Tag::kBoxed:
+        boxed_.insert(boxed_.end(), src.boxed_.begin(), src.boxed_.end());
+        break;
+    }
+    size_ += src.size_;
+    return;
+  }
+  Reserve(size_ + src.size_);
+  for (size_t i = 0; i < src.size_; ++i) AppendFrom(src, i);
+}
+
 Value ColumnVector::GetValue(size_t i) const {
   const size_t p = phys(i);
   if (nulls_[p]) return Value::Null();
@@ -291,6 +329,11 @@ void ColumnBatch::AppendGather(const ColumnBatch& src,
     cols[c].AppendGather(src.cols[c], sel);
   }
   num_rows += sel.size();
+}
+
+void ColumnBatch::Append(const ColumnBatch& src) {
+  for (size_t c = 0; c < cols.size(); ++c) cols[c].AppendAll(src.cols[c]);
+  num_rows += src.num_rows;
 }
 
 Row ColumnBatch::GetRow(size_t i) const {

@@ -54,6 +54,8 @@ class ColumnVector {
   void AppendFrom(const ColumnVector& src, size_t i);
   /// Appends rows `sel[*]` of `src`.
   void AppendGather(const ColumnVector& src, const std::vector<uint32_t>& sel);
+  /// Appends every row of `src` (a bulk copy when the tags agree).
+  void AppendAll(const ColumnVector& src);
 
   bool IsNull(size_t i) const { return nulls_[phys(i)] != 0; }
   /// Boxes row `i` back into a Value (NULL rows yield Value::Null()).
@@ -110,6 +112,9 @@ struct ColumnBatch {
   void AppendRowFrom(const ColumnBatch& src, size_t i);
   /// Appends rows `sel[*]` of `src`.
   void AppendGather(const ColumnBatch& src, const std::vector<uint32_t>& sel);
+  /// Appends every row of `src` (UNION ALL); `src` must have as many
+  /// columns.
+  void Append(const ColumnBatch& src);
 
   Row GetRow(size_t i) const;
 

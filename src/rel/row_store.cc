@@ -5,6 +5,20 @@
 namespace sqlgraph {
 namespace rel {
 
+namespace {
+
+/// Appends columns `projection` of `row` (all of them when empty) to `*out`.
+void AppendColumns(const Row& row, const std::vector<int>& projection,
+                   Row* out) {
+  if (projection.empty()) {
+    out->insert(out->end(), row.begin(), row.end());
+    return;
+  }
+  for (int c : projection) out->push_back(row[static_cast<size_t>(c)]);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- Vector --
 
 RowId VectorRowStore::Append(Row row) {
@@ -14,11 +28,13 @@ RowId VectorRowStore::Append(Row row) {
   return rows_.size() - 1;
 }
 
-util::Status VectorRowStore::Get(RowId rid, Row* out) const {
+util::Status VectorRowStore::GetProjected(RowId rid,
+                                          const std::vector<int>& projection,
+                                          Row* out) const {
   if (rid >= rows_.size() || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
-  *out = rows_[rid];
+  AppendColumns(rows_[rid], projection, out);
   return util::Status::OK();
 }
 
@@ -158,18 +174,23 @@ void PagedRowStore::WriteSlot(RowId rid, Row row) {
                 std::make_shared<const PageFrame>(blob));
 }
 
-util::Status PagedRowStore::Get(RowId rid, Row* out) const {
+util::Status PagedRowStore::GetProjected(RowId rid,
+                                         const std::vector<int>& projection,
+                                         Row* out) const {
   if (rid >= num_rows_ || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
   const size_t page_index = rid / rows_per_page_;
   if (page_index >= page_blobs_.size()) {
     // Row still in the unsealed tail.
-    *out = tail_[rid - page_blobs_.size() * rows_per_page_];
+    AppendColumns(tail_[rid - page_blobs_.size() * rows_per_page_],
+                  projection, out);
     return util::Status::OK();
   }
-  DecodeSealed(*FetchFrame(static_cast<uint32_t>(page_index)), rid, out);
-  return util::Status::OK();
+  const auto frame = FetchFrame(static_cast<uint32_t>(page_index));
+  size_t offset = row_offsets_[rid];
+  return DecodeRowProjected(frame->bytes, num_columns_, &offset, projection,
+                            out);
 }
 
 util::Status PagedRowStore::Update(RowId rid, Row row) {

@@ -38,7 +38,19 @@ class RowStore {
   virtual RowId Append(Row row) = 0;
 
   /// Copies the row at `rid` into `*out`. Fails for tombstoned/bad ids.
-  virtual util::Status Get(RowId rid, Row* out) const = 0;
+  util::Status Get(RowId rid, Row* out) const {
+    out->clear();
+    return GetProjected(rid, {}, out);
+  }
+
+  /// Appends columns `projection` of the row at `rid` (every column when
+  /// `projection` is empty) to `*out`, after what it already holds. Index
+  /// probes read a few columns of wide rows (OPA/IPA) this way without
+  /// copying the rest. `projection` must be ascending; the paged store
+  /// answers InvalidArgument otherwise.
+  virtual util::Status GetProjected(RowId rid,
+                                    const std::vector<int>& projection,
+                                    Row* out) const = 0;
 
   /// Replaces the row at `rid`.
   virtual util::Status Update(RowId rid, Row row) = 0;
@@ -69,7 +81,8 @@ class RowStore {
 class VectorRowStore : public RowStore {
  public:
   RowId Append(Row row) override;
-  util::Status Get(RowId rid, Row* out) const override;
+  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
+                            Row* out) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;
@@ -102,7 +115,8 @@ class PagedRowStore : public RowStore {
                 size_t rows_per_page = 64);
 
   RowId Append(Row row) override;
-  util::Status Get(RowId rid, Row* out) const override;
+  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
+                            Row* out) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;

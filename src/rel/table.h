@@ -92,6 +92,11 @@ class Table {
   size_t NumVersions() const { return versions_.Read().size(); }
 
   util::Status Get(RowId rid, Row* out) const { return store_->Get(rid, out); }
+  /// See RowStore::GetProjected.
+  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
+                            Row* out) const {
+    return store_->GetProjected(rid, projection, out);
+  }
   bool IsLive(RowId rid) const { return store_->IsLive(rid); }
 
   void Scan(const std::function<void(RowId, const Row&)>& visit) const {

@@ -50,38 +50,13 @@ const rel::Index* FindIndexByName(const rel::Table& table,
 
 namespace {
 
-/// A resolved FROM item: either an indexable base table or materialized rows.
-struct Relation {
-  std::vector<std::string> columns;
-  const rel::Table* base = nullptr;
-  const ResultSet* borrowed = nullptr;
-  std::shared_ptr<ResultSet> owned;
-  // Column pruning (projection pushdown): when non-empty, only these
-  // base-table column indexes are carried into join rows. Wide tables like
-  // OPA (3 columns per triad) shrink to the handful of referenced columns.
-  std::vector<int> projection;
-
-  const std::vector<Row>* rows() const {
-    if (borrowed != nullptr) return &borrowed->rows;
-    if (owned != nullptr) return &owned->rows;
-    return nullptr;
-  }
-
-  /// Applies the projection to a freshly fetched base-table row.
-  Row Project(const Row& full) const {
-    if (projection.empty()) return full;
-    Row out;
-    out.reserve(projection.size());
-    for (int c : projection) out.push_back(full[static_cast<size_t>(c)]);
-    return out;
-  }
-};
-
-/// The inter-operator working set: either row-major rows (the legacy
-/// operators) or a ColumnBatch (the vectorized ones). A batch enters the
-/// pipeline at a base-table access when Options::vectorized is set;
-/// operators without a batched implementation (outer joins, lateral
-/// unnests, sorts) collapse it to rows and the pipeline continues
+/// The inter-operator working set: either row-major rows (the row-at-a-time
+/// operators) or a ColumnBatch (the vectorized ones). With
+/// Options::vectorized a batch enters the pipeline at the first FROM item —
+/// base table, CTE or subquery — and stays a batch through joins, lateral
+/// VALUES unnests, projection, DISTINCT and UNION ALL. Operators without a
+/// batched implementation (sorts, non-indexed outer joins, JSON_EDGES,
+/// recursive CTEs, INTERSECT/EXCEPT) collapse it to rows and continue
 /// row-at-a-time from there.
 struct WorkingSet {
   std::vector<Row> rows;
@@ -96,9 +71,11 @@ struct WorkingSet {
     rows.clear();
   }
 
-  /// Collapses to row mode (no-op when already there).
-  std::vector<Row>* MutableRows() {
+  /// Collapses to row mode (no-op when already there); every collapse
+  /// counts in `*collapses` (ExecStats::batch_collapses).
+  std::vector<Row>* MutableRows(uint64_t* collapses) {
     if (is_batch) {
+      ++*collapses;
       rows = batch.ToRows();
       batch = ColumnBatch();
       is_batch = false;
@@ -106,6 +83,109 @@ struct WorkingSet {
     return &rows;
   }
 };
+
+/// A select's result before it leaves the executor: the output column names
+/// plus the rows or batch that produced them. CTEs, subqueries and
+/// set-operation operands stay in this form; only the final SELECT becomes
+/// a ResultSet.
+struct Materialized {
+  std::vector<std::string> columns;
+  WorkingSet ws;
+};
+
+/// A resolved FROM item: either an indexable base table or a materialized
+/// select (CTE, subquery, snapshot-pinned table).
+struct Relation {
+  std::vector<std::string> columns;
+  const rel::Table* base = nullptr;
+  const Materialized* borrowed = nullptr;
+  std::shared_ptr<Materialized> owned;
+  // Column pruning (projection pushdown): when non-empty, only these
+  // base-table column indexes are carried into join rows. Wide tables like
+  // OPA (3 columns per triad) shrink to the handful of referenced columns.
+  std::vector<int> projection;
+
+  const Materialized* materialized() const {
+    return borrowed != nullptr ? borrowed : owned.get();
+  }
+
+  /// Applies the projection to a freshly fetched base-table row.
+  Row Project(const Row& full) const {
+    if (projection.empty()) return full;
+    Row out;
+    out.reserve(projection.size());
+    for (int c : projection) out.push_back(full[static_cast<size_t>(c)]);
+    return out;
+  }
+};
+
+/// True when every column `e` reads resolves in `env` to slot `first` or
+/// later — the lateral unnest's own columns, so a fused filter can run over
+/// them alone instead of over the whole combined row.
+bool ReadsOnlySlotsFrom(const Expr& e, const ColumnEnv& env, size_t first) {
+  switch (e.kind) {
+    case ExprKind::kColumnRef: {
+      const int slot = env.TryResolve(e.qualifier, e.column);
+      return slot >= 0 && static_cast<size_t>(slot) >= first;
+    }
+    case ExprKind::kStar:
+      return false;
+    default:
+      break;
+  }
+  if (e.lhs != nullptr && !ReadsOnlySlotsFrom(*e.lhs, env, first)) return false;
+  if (e.rhs != nullptr && !ReadsOnlySlotsFrom(*e.rhs, env, first)) return false;
+  for (const auto& a : e.args) {
+    if (!ReadsOnlySlotsFrom(*a, env, first)) return false;
+  }
+  for (const auto& a : e.in_list) {
+    if (!ReadsOnlySlotsFrom(*a, env, first)) return false;
+  }
+  return true;
+}
+
+/// Keeps the first occurrence of every distinct row of `batch`, in order
+/// (SELECT DISTINCT / UNION). A single typed int64 column — the translated
+/// traversals' `val` — hashes raw int64s.
+void DedupeBatch(ColumnBatch* batch) {
+  std::vector<uint32_t> keep;
+  keep.reserve(batch->num_rows);
+  const ColumnVector* only =
+      batch->num_cols() == 1 ? &batch->cols[0] : nullptr;
+  if (only != nullptr && only->typed() && !only->is_constant() &&
+      only->tag() == ColumnVector::Tag::kInt64) {
+    std::unordered_set<int64_t> seen;
+    seen.reserve(batch->num_rows);
+    bool null_seen = false;
+    for (size_t i = 0; i < batch->num_rows; ++i) {
+      const bool first = only->IsNull(i) ? !std::exchange(null_seen, true)
+                                         : seen.insert(only->IntAt(i)).second;
+      if (first) keep.push_back(static_cast<uint32_t>(i));
+    }
+  } else {
+    std::unordered_set<Row, RowHash, RowEq> seen;
+    seen.reserve(batch->num_rows);
+    for (size_t i = 0; i < batch->num_rows; ++i) {
+      if (seen.insert(batch->GetRow(i)).second) {
+        keep.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  if (keep.size() != batch->num_rows) batch->KeepOnly(keep);
+}
+
+/// The columns of `*batch` gathered by `sel`; when `sel` is the identity
+/// (every row once, in order) they are moved out instead of copied.
+std::vector<ColumnVector> TakeRows(ColumnBatch* batch,
+                                   const std::vector<uint32_t>& sel) {
+  bool identity = sel.size() == batch->num_rows;
+  for (size_t i = 0; identity && i < sel.size(); ++i) identity = sel[i] == i;
+  if (identity) return std::move(batch->cols);
+  std::vector<ColumnVector> out;
+  out.reserve(batch->num_cols());
+  for (const auto& c : batch->cols) out.push_back(c.Gather(sel));
+  return out;
+}
 
 /// Collects which columns of `alias` the statement references anywhere
 /// (select list, WHERE, JOIN ON, lateral VALUES, GROUP BY/HAVING/ORDER BY).
@@ -281,21 +361,27 @@ class Executor::Impl {
       if (cte.recursive) {
         obs::ScopedSpan span(spans_, context_, "recursive cte");
         RETURN_NOT_OK(ExecRecursiveCte(cte));
-        span.set_rows(ctes_[cte.name].rows.size());
+        span.set_rows(ctes_[cte.name].ws.size());
       } else {
-        ASSIGN_OR_RETURN(ResultSet res, ExecSelect(*cte.select));
+        ASSIGN_OR_RETURN(Materialized res, ExecSelect(*cte.select));
         RETURN_NOT_OK(ApplyCteAliases(cte, &res));
         ctes_[cte.name] = std::move(res);
       }
     }
     context_ = "final";
-    return ExecSelect(*q.final_select);
+    ASSIGN_OR_RETURN(Materialized out,
+                     ExecSelect(*q.final_select, /*final=*/true));
+    ResultSet result;
+    result.columns = std::move(out.columns);
+    result.rows =
+        out.ws.is_batch ? out.ws.batch.ToRows() : std::move(out.ws.rows);
+    return result;
   }
 
  private:
   // ------------------------------------------------------------- CTEs ----
 
-  static Status ApplyCteAliases(const Cte& cte, ResultSet* res) {
+  static Status ApplyCteAliases(const Cte& cte, Materialized* res) {
     if (cte.column_aliases.empty()) return Status::OK();
     if (cte.column_aliases.size() != res->columns.size()) {
       return Status::InvalidArgument("CTE " + cte.name +
@@ -303,6 +389,22 @@ class Executor::Impl {
     }
     res->columns = cte.column_aliases;
     return Status::OK();
+  }
+
+  /// Row-only consumers of a materialized select: a copy of its rows,
+  /// collapsed from its batch if need be (counted like
+  /// WorkingSet::MutableRows).
+  std::vector<Row> CopyRows(const Materialized& m) {
+    if (!m.ws.is_batch) return m.ws.rows;
+    ++stats_->batch_collapses;
+    return m.ws.batch.ToRows();
+  }
+
+  /// Batched consumers of a materialized select: a copy of its batch, or
+  /// its rows converted (a row-to-batch conversion is no collapse).
+  static ColumnBatch BatchOf(const Materialized& m) {
+    if (m.ws.is_batch) return m.ws.batch;
+    return ColumnBatch::FromRows(m.ws.rows, m.columns.size());
   }
 
   Status ExecRecursiveCte(const Cte& cte) {
@@ -319,16 +421,18 @@ class Executor::Impl {
     // plan-memo keys; the step select aliases the shared AST and is fine.
     const bool memo_was_enabled = memo_enabled_;
     memo_enabled_ = false;
-    Result<ResultSet> base_result = ExecSelect(base);
+    Result<Materialized> base_result = ExecSelect(base);
     memo_enabled_ = memo_was_enabled;
     if (!base_result.ok()) return base_result.status();
-    ResultSet total = std::move(base_result).value();
-    RETURN_NOT_OK(ApplyCteAliasesForRecursive(cte, &total));
-    std::unordered_set<Row, RowHash, RowEq> seen(total.rows.begin(),
-                                                 total.rows.end());
-    ResultSet delta = total;
+    Materialized total = std::move(base_result).value();
+    RETURN_NOT_OK(ApplyCteAliases(cte, &total));
+    std::vector<Row>& total_rows =
+        *total.ws.MutableRows(&stats_->batch_collapses);
+    std::unordered_set<Row, RowHash, RowEq> seen(total_rows.begin(),
+                                                 total_rows.end());
+    Materialized delta = total;
     int iter = 0;
-    while (!delta.rows.empty()) {
+    while (!delta.ws.rows.empty()) {
       if (++iter > options_.max_recursion) {
         return Status::OutOfRange("recursive CTE " + cte.name + " exceeded " +
                                   std::to_string(options_.max_recursion) +
@@ -336,13 +440,13 @@ class Executor::Impl {
       }
       ++stats_->recursive_iterations;
       ctes_[cte.name] = delta;  // bind the working table
-      ASSIGN_OR_RETURN(ResultSet produced, ExecSelect(step));
-      ResultSet next;
+      ASSIGN_OR_RETURN(Materialized produced, ExecSelect(step));
+      Materialized next;
       next.columns = delta.columns;
-      for (auto& row : produced.rows) {
+      for (auto& row : *produced.ws.MutableRows(&stats_->batch_collapses)) {
         if (seen.insert(row).second) {
-          total.rows.push_back(row);
-          next.rows.push_back(std::move(row));
+          total_rows.push_back(row);
+          next.ws.rows.push_back(std::move(row));
         }
       }
       delta = std::move(next);
@@ -351,68 +455,50 @@ class Executor::Impl {
     return Status::OK();
   }
 
-  Status ApplyCteAliasesForRecursive(const Cte& cte, ResultSet* res) {
-    return ApplyCteAliases(cte, res);
-  }
-
   // ----------------------------------------------------------- SELECT ----
 
-  Result<ResultSet> ExecSelect(const SelectStmt& s) {
+  /// `final` marks the statement's own select, whose result leaves as a
+  /// ResultSet: without set operations it projects straight into rows.
+  Result<Materialized> ExecSelect(const SelectStmt& s, bool final = false) {
     // With set operations, ORDER BY / LIMIT bind to the combined result and
     // may only reference output columns; otherwise the core handles them
     // with full input-scope resolution.
     const bool defer_order_limit = !s.set_ops.empty();
-    ASSIGN_OR_RETURN(ResultSet out, ExecSelectCore(s, defer_order_limit));
+    ASSIGN_OR_RETURN(Materialized out,
+                     ExecSelectCore(s, defer_order_limit,
+                                    /*rows_out=*/final && s.set_ops.empty()));
     for (const auto& set_op : s.set_ops) {
-      ASSIGN_OR_RETURN(ResultSet rhs, ExecSelect(*set_op.rhs));
+      ASSIGN_OR_RETURN(Materialized rhs, ExecSelect(*set_op.rhs));
       if (rhs.columns.size() != out.columns.size()) {
         return Status::InvalidArgument("set operation arity mismatch");
       }
       switch (set_op.kind) {
         case SetOpKind::kUnionAll:
-          for (auto& r : rhs.rows) out.rows.push_back(std::move(r));
+          UnionAll(out.columns.size(), std::move(rhs.ws), &out.ws);
           break;
-        case SetOpKind::kUnion: {
-          std::unordered_set<Row, RowHash, RowEq> seen(out.rows.begin(),
-                                                       out.rows.end());
-          std::vector<Row> merged;
-          merged.reserve(seen.size());
-          {
-            std::unordered_set<Row, RowHash, RowEq> emitted;
-            for (auto& r : out.rows) {
-              if (emitted.insert(r).second) merged.push_back(std::move(r));
-            }
-            for (auto& r : rhs.rows) {
-              if (emitted.insert(r).second) merged.push_back(std::move(r));
-            }
-          }
-          out.rows = std::move(merged);
+        case SetOpKind::kUnion:
+          // First occurrences across both sides, in order.
+          UnionAll(out.columns.size(), std::move(rhs.ws), &out.ws);
+          Dedupe(&out.ws);
           break;
-        }
-        case SetOpKind::kIntersect: {
-          std::unordered_set<Row, RowHash, RowEq> right(rhs.rows.begin(),
-                                                        rhs.rows.end());
-          std::vector<Row> merged;
-          std::unordered_set<Row, RowHash, RowEq> emitted;
-          for (auto& r : out.rows) {
-            if (right.count(r) && emitted.insert(r).second) {
-              merged.push_back(std::move(r));
-            }
-          }
-          out.rows = std::move(merged);
-          break;
-        }
+        case SetOpKind::kIntersect:
         case SetOpKind::kExcept: {
-          std::unordered_set<Row, RowHash, RowEq> right(rhs.rows.begin(),
-                                                        rhs.rows.end());
+          const bool keep_common = set_op.kind == SetOpKind::kIntersect;
+          std::vector<Row>& left =
+              *out.ws.MutableRows(&stats_->batch_collapses);
+          const std::vector<Row>& right_rows =
+              *rhs.ws.MutableRows(&stats_->batch_collapses);
+          std::unordered_set<Row, RowHash, RowEq> right(right_rows.begin(),
+                                                        right_rows.end());
           std::vector<Row> merged;
           std::unordered_set<Row, RowHash, RowEq> emitted;
-          for (auto& r : out.rows) {
-            if (!right.count(r) && emitted.insert(r).second) {
+          for (auto& r : left) {
+            if ((right.count(r) > 0) == keep_common &&
+                emitted.insert(r).second) {
               merged.push_back(std::move(r));
             }
           }
-          out.rows = std::move(merged);
+          left = std::move(merged);
           break;
         }
       }
@@ -421,22 +507,43 @@ class Executor::Impl {
     return out;
   }
 
-  Status ApplyOrderLimit(const SelectStmt& s, ResultSet* out) {
+  /// UNION ALL: appends `src` to `*dst`. Two batches concatenate column by
+  /// column; a row side joining a batch converts to a batch (no collapse).
+  static void UnionAll(size_t width, WorkingSet src, WorkingSet* dst) {
+    if (dst->is_batch || src.is_batch) {
+      ColumnBatch tail = src.is_batch
+                             ? std::move(src.batch)
+                             : ColumnBatch::FromRows(src.rows, width);
+      if (!dst->is_batch) {
+        dst->SetBatch(ColumnBatch::FromRows(dst->rows, width));
+      }
+      if (dst->batch.num_rows == 0) {
+        dst->batch = std::move(tail);
+      } else {
+        dst->batch.Append(tail);
+      }
+      return;
+    }
+    for (auto& r : src.rows) dst->rows.push_back(std::move(r));
+  }
+
+  Status ApplyOrderLimit(const SelectStmt& s, Materialized* out) {
     if (!s.order_by.empty()) {
       obs::ScopedSpan span(spans_, context_, "sort (output)");
-      span.set_rows(out->rows.size());
+      std::vector<Row>& rows = *out->ws.MutableRows(&stats_->batch_collapses);
+      span.set_rows(rows.size());
       ColumnEnv env;
       for (const auto& c : out->columns) env.Add("", c);
       // Precompute sort keys.
       std::vector<std::pair<std::vector<Value>, size_t>> keyed;
-      keyed.reserve(out->rows.size());
+      keyed.reserve(rows.size());
       EvalContext ctx;
       ctx.params = params_;
-      for (size_t i = 0; i < out->rows.size(); ++i) {
+      for (size_t i = 0; i < rows.size(); ++i) {
         std::vector<Value> key;
         key.reserve(s.order_by.size());
         for (const auto& item : s.order_by) {
-          ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, env, out->rows[i], ctx));
+          ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, env, rows[i], ctx));
           key.push_back(std::move(v));
         }
         keyed.emplace_back(std::move(key), i);
@@ -451,32 +558,38 @@ class Executor::Impl {
                          return false;
                        });
       std::vector<Row> sorted;
-      sorted.reserve(out->rows.size());
+      sorted.reserve(rows.size());
       for (const auto& [key, idx] : keyed) {
-        sorted.push_back(std::move(out->rows[idx]));
+        sorted.push_back(std::move(rows[idx]));
       }
-      out->rows = std::move(sorted);
+      rows = std::move(sorted);
     }
-    const int64_t offset = s.offset.value_or(0);
-    if (offset > 0) {
-      if (static_cast<size_t>(offset) >= out->rows.size()) {
-        out->rows.clear();
-      } else {
-        out->rows.erase(out->rows.begin(), out->rows.begin() + offset);
-      }
-    }
-    if (s.limit.has_value() &&
-        out->rows.size() > static_cast<size_t>(*s.limit)) {
-      out->rows.resize(static_cast<size_t>(*s.limit));
-    }
+    ApplyLimitOffset(s, &out->ws);
     return Status::OK();
   }
 
-  Status ApplyLimitOffset(const SelectStmt& s, ResultSet* out) {
-    SelectStmt limit_only;
-    limit_only.limit = s.limit;
-    limit_only.offset = s.offset;
-    return ApplyOrderLimit(limit_only, out);
+  /// OFFSET then LIMIT, on rows or on a batch.
+  static void ApplyLimitOffset(const SelectStmt& s, WorkingSet* ws) {
+    const size_t n = ws->size();
+    const int64_t skip = s.offset.value_or(0);
+    const size_t offset = skip > 0 ? std::min(n, static_cast<size_t>(skip)) : 0;
+    size_t end = n;
+    if (s.limit.has_value() && *s.limit >= 0) {
+      end = std::min(end, offset + static_cast<size_t>(*s.limit));
+    }
+    if (offset == 0 && end == n) return;
+    if (ws->is_batch) {
+      std::vector<uint32_t> sel;
+      sel.reserve(end - offset);
+      for (size_t i = offset; i < end; ++i) {
+        sel.push_back(static_cast<uint32_t>(i));
+      }
+      ws->batch.KeepOnly(sel);
+      return;
+    }
+    ws->rows.resize(end);
+    ws->rows.erase(ws->rows.begin(),
+                   ws->rows.begin() + static_cast<std::ptrdiff_t>(offset));
   }
 
   /// Sorts the pre-projection rows by the ORDER BY expressions. Bare column
@@ -528,8 +641,8 @@ class Executor::Impl {
 
   // Core select: FROM/WHERE/aggregate/DISTINCT/projection, plus ORDER BY /
   // LIMIT unless deferred to the set-operation combiner.
-  Result<ResultSet> ExecSelectCore(const SelectStmt& s,
-                                   bool defer_order_limit) {
+  Result<Materialized> ExecSelectCore(const SelectStmt& s,
+                                      bool defer_order_limit, bool rows_out) {
     EvalContext ctx;
     ctx.params = params_;
     RETURN_NOT_OK(MaterializeInSubqueries(s, &ctx));
@@ -568,22 +681,26 @@ class Executor::Impl {
     }
     if (has_aggregate) {
       obs::ScopedSpan span(spans_, context_, "aggregate");
-      ASSIGN_OR_RETURN(ResultSet out, Aggregate(s, env, ws, ctx));
-      span.set_rows(out.rows.size());
+      ASSIGN_OR_RETURN(ResultSet agg, Aggregate(s, env, ws, ctx));
+      span.set_rows(agg.rows.size());
       span.Finish();
+      Materialized out;
+      out.columns = std::move(agg.columns);
+      out.ws.rows = std::move(agg.rows);
       if (!defer_order_limit) RETURN_NOT_OK(ApplyOrderLimit(s, &out));
       return out;
     }
 
     if (!defer_order_limit && !s.order_by.empty()) {
       obs::ScopedSpan span(spans_, context_, "sort");
-      RETURN_NOT_OK(SortInputRows(s, env, ctx, ws.MutableRows()));
+      RETURN_NOT_OK(SortInputRows(
+          s, env, ctx, ws.MutableRows(&stats_->batch_collapses)));
       span.set_rows(ws.rows.size());
     }
-    ResultSet out;
-    RETURN_NOT_OK(Project(s, env, ws, ctx, &out));
-    if (s.distinct) Dedupe(&out);
-    if (!defer_order_limit) RETURN_NOT_OK(ApplyLimitOffset(s, &out));
+    Materialized out;
+    RETURN_NOT_OK(Project(s, env, ctx, rows_out, &ws, &out));
+    if (s.distinct) Dedupe(&out.ws);
+    if (!defer_order_limit) ApplyLimitOffset(s, &out.ws);
     return out;
   }
 
@@ -644,11 +761,11 @@ class Executor::Impl {
     Status st;
     if (ref.join == JoinType::kLeftOuter) {
       st = LeftOuterJoin(ref, relation, alias, ref_columns, *env, next_env,
-                         ws->MutableRows(), ctx);
+                         ws, ctx);
       // WHERE-clause conjuncts on the nullable side apply after the join.
       if (st.ok()) {
         for (size_t k = 0; k < applicable.size(); ++k) {
-          st = FilterRows(*applicable[k], next_env, *ctx, &ws->rows);
+          st = FilterWorkingSet(*applicable[k], next_env, *ctx, ws);
           if (!st.ok()) break;
           (*consumed)[applicable_ids[k]] = true;
         }
@@ -661,9 +778,15 @@ class Executor::Impl {
         ref.kind == TableRefKind::kUnnestJson) {
       // Filters fuse into the lateral expansion: candidate rows that fail
       // (e.g. the templates' t.val IS NOT NULL) are never materialized.
-      st = ref.kind == TableRefKind::kUnnestValues
-               ? UnnestValues(ref, next_env, applicable, ws->MutableRows(), ctx)
-               : UnnestJson(ref, next_env, applicable, ws->MutableRows(), ctx);
+      if (ref.kind == TableRefKind::kUnnestJson) {
+        st = UnnestJson(ref, next_env, applicable,
+                        ws->MutableRows(&stats_->batch_collapses), ctx);
+      } else if (ws->is_batch && ValuesBoundBy(ref, *env, next_env)) {
+        st = UnnestValuesBatched(ref, *env, next_env, applicable, *ctx, ws);
+      } else {
+        st = UnnestValues(ref, next_env, applicable,
+                          ws->MutableRows(&stats_->batch_collapses), ctx);
+      }
       if (!st.ok()) return st;
       for (size_t k = 0; k < applicable.size(); ++k) {
         (*consumed)[applicable_ids[k]] = true;
@@ -681,6 +804,23 @@ class Executor::Impl {
       if (st.ok()) *env = std::move(next_env);
       return st;
     }
+  }
+
+  /// True when every VALUES expression reads only columns already joined
+  /// (`env`), so it can be evaluated once per vector of input rows. The
+  /// expressions must also resolve in `next_env`, the scope the row path
+  /// evaluates them in: a bare name that `t`'s own columns make ambiguous
+  /// takes the row path and fails there as it does in row mode.
+  static bool ValuesBoundBy(const TableRef& ref, const ColumnEnv& env,
+                            const ColumnEnv& next_env) {
+    for (const auto& values_row : ref.values_rows) {
+      for (const auto& e : values_row) {
+        if (!IsFullyBound(*e, env) || !IsFullyBound(*e, next_env)) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   Result<Relation> ResolveRef(const TableRef& ref) {
@@ -704,11 +844,20 @@ class Executor::Impl {
           // Snapshot pin with newer committed versions: materialize the
           // table as of read_ts. Leaving `base` null keeps every live-data
           // fast path (indexes, batched scans) off this relation.
-          auto snap = std::make_shared<ResultSet>();
+          auto snap = std::make_shared<Materialized>();
           snap->columns = relation.columns;
-          table->ScanAt(options_.read_ts,
-                        [&](const Row& row) { snap->rows.push_back(row); });
-          stats_->rows_scanned += snap->rows.size();
+          if (options_.vectorized) {
+            snap->ws.SetBatch(ColumnBatch());
+            snap->ws.batch.Reset(relation.columns.size());
+            table->ScanAt(options_.read_ts, [&](const Row& row) {
+              snap->ws.batch.AppendRow(row);
+            });
+          } else {
+            table->ScanAt(options_.read_ts, [&](const Row& row) {
+              snap->ws.rows.push_back(row);
+            });
+          }
+          stats_->rows_scanned += snap->ws.size();
           relation.owned = std::move(snap);
           return relation;
         }
@@ -716,8 +865,8 @@ class Executor::Impl {
         return relation;
       }
       case TableRefKind::kSubquery: {
-        ASSIGN_OR_RETURN(ResultSet res, ExecSelect(*ref.subquery));
-        relation.owned = std::make_shared<ResultSet>(std::move(res));
+        ASSIGN_OR_RETURN(Materialized res, ExecSelect(*ref.subquery));
+        relation.owned = std::make_shared<Materialized>(std::move(res));
         relation.columns = relation.owned->columns;
         return relation;
       }
@@ -767,6 +916,119 @@ class Executor::Impl {
     }
     *rows = std::move(out);
     span.set_rows(rows->size());
+    return Status::OK();
+  }
+
+  /// Batched lateral TABLE(VALUES ...) expansion. Each tuple expression is
+  /// evaluated once per vector (a bare column reference borrows the input
+  /// column), the candidates are laid out (input row, tuple) major like the
+  /// row path's nested loops, and the fused filters run over them. Filters
+  /// that read only the unnest's own columns run over those narrow columns;
+  /// the first filter reading an input column widens the survivors to the
+  /// full combined row. Set-up is per tuple expression, not per input
+  /// column.
+  Status UnnestValuesBatched(const TableRef& ref, const ColumnEnv& env,
+                             const ColumnEnv& next_env,
+                             const std::vector<ExprPtr>& filters,
+                             const EvalContext& ctx, WorkingSet* ws) {
+    obs::ScopedSpan span(spans_, context_, "unnest values " + ref.exposure());
+    ColumnBatch& in = ws->batch;
+    const size_t n = in.num_rows;
+    const size_t width = in.num_cols();
+    const size_t arity = ref.column_aliases.size();
+    const size_t tuples = ref.values_rows.size();
+    ColumnBatch out;
+    if (n == 0 || tuples == 0) {
+      out.Reset(width + arity);
+      ws->SetBatch(std::move(out));
+      span.set_rows(0);
+      return Status::OK();
+    }
+    std::vector<ColumnVector> computed;
+    computed.reserve(tuples * arity);
+    std::vector<const ColumnVector*> tuple_cols;  // [tuple * arity + column]
+    tuple_cols.reserve(tuples * arity);
+    for (const auto& values_row : ref.values_rows) {
+      if (values_row.size() != arity) {
+        return Status::InvalidArgument("VALUES row arity mismatch");
+      }
+      for (const auto& e : values_row) {
+        const int slot = e->kind == ExprKind::kColumnRef
+                             ? env.TryResolve(e->qualifier, e->column)
+                             : -1;
+        if (slot >= 0) {
+          tuple_cols.push_back(&in.cols[static_cast<size_t>(slot)]);
+          continue;
+        }
+        ASSIGN_OR_RETURN(ColumnVector col, EvalExprBatch(*e, env, in, ctx));
+        computed.push_back(std::move(col));
+        tuple_cols.push_back(&computed.back());
+      }
+    }
+    // Candidate k * tuples + t pairs input row k with tuple t.
+    ColumnBatch cand;
+    cand.Reset(arity);
+    if (tuples == 1) {
+      for (size_t c = 0; c < arity; ++c) cand.cols[c] = *tuple_cols[c];
+    } else {
+      cand.Reserve(n * tuples);
+      for (size_t k = 0; k < n; ++k) {
+        for (size_t t = 0; t < tuples; ++t) {
+          for (size_t c = 0; c < arity; ++c) {
+            cand.cols[c].AppendFrom(*tuple_cols[t * arity + c], k);
+          }
+        }
+      }
+    }
+    cand.num_rows = n * tuples;
+    std::vector<uint32_t> alive(cand.num_rows);  // surviving candidates
+    for (size_t i = 0; i < alive.size(); ++i) {
+      alive[i] = static_cast<uint32_t>(i);
+    }
+    auto input_rows = [&] {
+      std::vector<uint32_t> rows;
+      rows.reserve(alive.size());
+      for (uint32_t a : alive) {
+        rows.push_back(static_cast<uint32_t>(a / tuples));
+      }
+      return rows;
+    };
+
+    ColumnEnv narrow_env;
+    for (const auto& c : ref.column_aliases) narrow_env.Add(ref.exposure(), c);
+    bool wide = false;  // `cand` holds the combined rows, not just t.*
+    std::vector<uint32_t> sel;
+    for (const auto& f : filters) {
+      if (cand.num_rows == 0) break;
+      if (!wide && !ReadsOnlySlotsFrom(*f, next_env, width)) {
+        ColumnBatch combined;
+        combined.cols.reserve(width + arity);
+        const std::vector<uint32_t> rows = input_rows();
+        for (const auto& col : in.cols) {
+          combined.cols.push_back(col.Gather(rows));
+        }
+        for (auto& col : cand.cols) combined.cols.push_back(std::move(col));
+        combined.num_rows = cand.num_rows;
+        cand = std::move(combined);
+        wide = true;
+      }
+      sel.clear();
+      RETURN_NOT_OK(EvalPredicateBatch(*f, wide ? next_env : narrow_env, cand,
+                                       ctx, &sel));
+      if (sel.size() == cand.num_rows) continue;
+      cand.KeepOnly(sel);
+      for (size_t j = 0; j < sel.size(); ++j) alive[j] = alive[sel[j]];
+      alive.resize(sel.size());
+    }
+    if (wide) {
+      out = std::move(cand);
+    } else {
+      out.cols = TakeRows(&in, input_rows());
+      for (auto& col : cand.cols) out.cols.push_back(std::move(col));
+      out.num_rows = alive.size();
+    }
+    ws->SetBatch(std::move(out));
+    span.set_rows(ws->size());
     return Status::OK();
   }
 
@@ -840,9 +1102,9 @@ class Executor::Impl {
                      EvalContext* ctx) {
     ws->rows.clear();
     ws->batch = ColumnBatch();
-    // Batch mode enters the pipeline here; CTE/subquery sources stay
-    // row-major (their rows are already materialized ResultSets).
-    ws->is_batch = options_.vectorized && relation.base != nullptr;
+    // Batch mode enters the pipeline here, from a base table or from a
+    // materialized CTE/subquery alike.
+    ws->is_batch = options_.vectorized;
     if (ws->is_batch) ws->batch.Reset(relation.columns.size());
     std::vector<bool> used(applicable.size(), false);
 
@@ -871,12 +1133,15 @@ class Executor::Impl {
         }
       } else {
         obs::ScopedSpan span(spans_, context_, "scan " + ref.exposure());
-        const std::vector<Row>* src = relation.rows();
+        const Materialized* src = relation.materialized();
         if (src == nullptr) return Status::Internal("relation has no rows");
-        ws->rows.reserve(src->size());
-        for (const auto& r : *src) ws->rows.push_back(r);
-        stats_->rows_scanned += src->size();
-        span.set_rows(src->size());
+        if (ws->is_batch) {
+          ws->batch = BatchOf(*src);
+        } else {
+          ws->rows = CopyRows(*src);
+        }
+        stats_->rows_scanned += src->ws.size();
+        span.set_rows(src->ws.size());
       }
     }
     index_access_hit_ = false;
@@ -1160,11 +1425,13 @@ class Executor::Impl {
                    WorkingSet* ws) {
     Row row;
     for (rel::RowId rid : rids) {
-      RETURN_NOT_OK(relation.base->Get(rid, &row));
+      row.clear();
+      RETURN_NOT_OK(
+          relation.base->GetProjected(rid, relation.projection, &row));
       if (ws->is_batch) {
-        ws->batch.AppendProjected(row, relation.projection);
+        ws->batch.AppendRow(row);
       } else {
-        ws->rows.push_back(relation.Project(row));
+        ws->rows.push_back(row);
       }
       ++stats_->rows_scanned;
     }
@@ -1277,7 +1544,6 @@ class Executor::Impl {
                                            best_key_order, *best, ctx, ws));
         } else {
           std::vector<Row> out;
-          Row fetched;
           for (const Row& current : ws->rows) {
             rel::IndexKey key;
             key.parts.reserve(best_key_order.size());
@@ -1293,11 +1559,9 @@ class Executor::Impl {
             best->Lookup(key, &rids);
             ++stats_->index_lookups;
             for (rel::RowId rid : rids) {
-              RETURN_NOT_OK(table.Get(rid, &fetched));
-              Row projected = relation.Project(fetched);
               Row combined = current;
-              combined.insert(combined.end(), projected.begin(),
-                              projected.end());
+              RETURN_NOT_OK(
+                  table.GetProjected(rid, relation.projection, &combined));
               out.push_back(std::move(combined));
             }
           }
@@ -1463,11 +1727,28 @@ class Executor::Impl {
     std::vector<uint32_t> left_sel;
     ColumnBatch right;
     right.Reset(relation.columns.size());
+    RETURN_NOT_OK(ProbeIndex(relation, index, ws->batch.num_rows, key_cols,
+                             &left_sel, &right));
+    ColumnBatch out;
+    out.num_rows = left_sel.size();
+    out.cols = TakeRows(&ws->batch, left_sel);
+    for (auto& c : right.cols) out.cols.push_back(std::move(c));
+    ws->SetBatch(std::move(out));
+    return Status::OK();
+  }
+
+  /// The probe loop shared by the batched index nested-loop joins: for every
+  /// row i < n whose key columns hold no NULL, one index lookup, then each
+  /// match's projected columns appended to `*right` and i to `*left_sel`.
+  /// One key and one rid buffer serve the whole vector.
+  Status ProbeIndex(const Relation& relation, const rel::Index& index,
+                    size_t n, const std::vector<ColumnVector>& key_cols,
+                    std::vector<uint32_t>* left_sel, ColumnBatch* right) {
     rel::IndexKey key;
     key.parts.reserve(key_cols.size());
     std::vector<rel::RowId> rids;
     Row fetched;
-    for (size_t i = 0; i < left.num_rows; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       key.parts.clear();
       bool null_key = false;
       for (const auto& col : key_cols) {
@@ -1480,17 +1761,13 @@ class Executor::Impl {
       index.Lookup(key, &rids);
       ++stats_->index_lookups;
       for (rel::RowId rid : rids) {
-        RETURN_NOT_OK(relation.base->Get(rid, &fetched));
-        right.AppendProjected(fetched, relation.projection);
-        left_sel.push_back(static_cast<uint32_t>(i));
+        fetched.clear();
+        RETURN_NOT_OK(
+            relation.base->GetProjected(rid, relation.projection, &fetched));
+        right->AppendRow(fetched);
+        left_sel->push_back(static_cast<uint32_t>(i));
       }
     }
-    ColumnBatch out;
-    out.cols.reserve(left.num_cols() + right.num_cols());
-    for (const auto& c : left.cols) out.cols.push_back(c.Gather(left_sel));
-    for (auto& c : right.cols) out.cols.push_back(std::move(c));
-    out.num_rows = left_sel.size();
-    ws->SetBatch(std::move(out));
     return Status::OK();
   }
 
@@ -1594,18 +1871,16 @@ class Executor::Impl {
       span.set_rows(out.num_rows);
       return out;
     }
-    const std::vector<Row>* src = relation.rows();
+    const Materialized* src = relation.materialized();
     if (src == nullptr) return Status::Internal("relation has no rows");
-    out.Reserve(src->size());
-    for (const auto& r : *src) out.AppendRow(r);
-    return out;
+    return BatchOf(*src);
   }
 
   Status LeftOuterJoin(const TableRef& ref, const Relation& relation,
                        const std::string& alias,
                        const std::vector<std::string>& ref_columns,
                        const ColumnEnv& env, const ColumnEnv& next_env,
-                       std::vector<Row>* rows, EvalContext* ctx) {
+                       WorkingSet* ws, EvalContext* ctx) {
     std::vector<EquiJoinKey> keys;
     std::vector<ExprPtr> residual;
     const rel::Index* index = nullptr;
@@ -1679,7 +1954,13 @@ class Executor::Impl {
         obs::ScopedSpan span(spans_, context_,
                              "index nested-loop left-outer join " +
                                  table.name() + " via " + index->name());
-        Row fetched;
+        if (ws->is_batch) {
+          RETURN_NOT_OK(LeftOuterIndexNlBatched(relation, env, next_env, keys,
+                                                residual, *index, *ctx, ws));
+          span.set_rows(ws->size());
+          return Status::OK();
+        }
+        std::vector<Row>* rows = &ws->rows;
         for (const Row& current : *rows) {
           rel::IndexKey key;
           bool null_key = false;
@@ -1694,11 +1975,9 @@ class Executor::Impl {
             index->Lookup(key, &rids);
             ++stats_->index_lookups;
             for (rel::RowId rid : rids) {
-              RETURN_NOT_OK(table.Get(rid, &fetched));
-              Row projected = relation.Project(fetched);
               Row combined = current;
-              combined.insert(combined.end(), projected.begin(),
-                              projected.end());
+              RETURN_NOT_OK(
+                  table.GetProjected(rid, relation.projection, &combined));
               bool pass = true;
               for (const auto& c : residual) {
                 ASSIGN_OR_RETURN(Value v,
@@ -1726,6 +2005,8 @@ class Executor::Impl {
       }
     }
 
+    // No usable index: the hash / nested-loop outer joins run row-at-a-time.
+    std::vector<Row>* rows = ws->MutableRows(&stats_->batch_collapses);
     ASSIGN_OR_RETURN(std::vector<Row> build_rows, MaterializeRelation(relation));
     ++stats_->hash_joins;
     obs::ScopedSpan span(
@@ -1828,6 +2109,104 @@ class Executor::Impl {
     return Status::OK();
   }
 
+  /// Batched index nested-loop left-outer join (the OSA/ISA spill
+  /// templates). Probes like IndexNlJoinBatched; residual ON conjuncts then
+  /// run per vector over the matched pairs, keeping survivors between
+  /// conjuncts like the row path's short-circuit. A probe row left with no
+  /// match gets one row padded with NULLs, in probe order.
+  Status LeftOuterIndexNlBatched(const Relation& relation,
+                                 const ColumnEnv& env,
+                                 const ColumnEnv& next_env,
+                                 const std::vector<EquiJoinKey>& keys,
+                                 const std::vector<ExprPtr>& residual,
+                                 const rel::Index& index,
+                                 const EvalContext& ctx, WorkingSet* ws) {
+    ColumnBatch& left = ws->batch;
+    const size_t n = left.num_rows;
+    std::vector<ColumnVector> key_cols;
+    key_cols.reserve(keys.size());
+    for (const auto& k : keys) {
+      ASSIGN_OR_RETURN(ColumnVector col,
+                       EvalExprBatch(*k.outer, env, left, ctx));
+      key_cols.push_back(std::move(col));
+    }
+    const size_t right_width = relation.columns.size();
+    std::vector<uint32_t> match_left;  // probe row of each match
+    ColumnBatch right;
+    right.Reset(right_width);
+    RETURN_NOT_OK(
+        ProbeIndex(relation, index, n, key_cols, &match_left, &right));
+
+    if (!residual.empty() && !match_left.empty()) {
+      ColumnBatch pairs;
+      pairs.cols.reserve(left.num_cols() + right_width);
+      for (const auto& c : left.cols) {
+        pairs.cols.push_back(c.Gather(match_left));
+      }
+      for (auto& c : right.cols) pairs.cols.push_back(std::move(c));
+      pairs.num_rows = match_left.size();
+      std::vector<uint32_t> sel;
+      for (const auto& c : residual) {
+        if (pairs.num_rows == 0) break;
+        sel.clear();
+        RETURN_NOT_OK(EvalPredicateBatch(*c, next_env, pairs, ctx, &sel));
+        if (sel.size() == pairs.num_rows) continue;
+        pairs.KeepOnly(sel);
+        for (size_t j = 0; j < sel.size(); ++j) {
+          match_left[j] = match_left[sel[j]];
+        }
+        match_left.resize(sel.size());
+      }
+      for (size_t c = 0; c < right_width; ++c) {
+        right.cols[c] = std::move(pairs.cols[left.num_cols() + c]);
+      }
+      right.num_rows = match_left.size();
+    }
+
+    // Interleave matches and padded rows in probe order.
+    constexpr uint32_t kPad = UINT32_MAX;
+    std::vector<uint32_t> out_left, out_right;
+    out_left.reserve(n + match_left.size());
+    out_right.reserve(n + match_left.size());
+    size_t j = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t first = j;
+      for (; j < match_left.size() && match_left[j] == i; ++j) {
+        out_left.push_back(static_cast<uint32_t>(i));
+        out_right.push_back(static_cast<uint32_t>(j));
+      }
+      if (j == first) {
+        out_left.push_back(static_cast<uint32_t>(i));
+        out_right.push_back(kPad);
+      }
+    }
+    ColumnBatch out;
+    out.num_rows = out_left.size();
+    out.cols = TakeRows(&left, out_left);
+    if (match_left.empty()) {
+      for (size_t c = 0; c < right_width; ++c) {
+        out.cols.push_back(ColumnVector::Constant(Value::Null(), out.num_rows));
+      }
+    } else if (out.num_rows == right.num_rows) {
+      for (auto& c : right.cols) out.cols.push_back(std::move(c));
+    } else {
+      for (const auto& src : right.cols) {
+        ColumnVector col;
+        col.Reserve(out.num_rows);
+        for (uint32_t r : out_right) {
+          if (r == kPad) {
+            col.AppendNull();
+          } else {
+            col.AppendFrom(src, r);
+          }
+        }
+        out.cols.push_back(std::move(col));
+      }
+    }
+    ws->SetBatch(std::move(out));
+    return Status::OK();
+  }
+
   Result<std::vector<Row>> MaterializeRelation(const Relation& relation) {
     std::vector<Row> out;
     if (relation.base != nullptr) {
@@ -1841,11 +2220,9 @@ class Executor::Impl {
       span.set_rows(out.size());
       return out;
     }
-    const std::vector<Row>* src = relation.rows();
+    const Materialized* src = relation.materialized();
     if (src == nullptr) return Status::Internal("relation has no rows");
-    out.reserve(src->size());
-    for (const auto& r : *src) out.push_back(r);
-    return out;
+    return CopyRows(*src);
   }
 
   Status FilterRows(const Expr& predicate, const ColumnEnv& env,
@@ -1872,9 +2249,11 @@ class Executor::Impl {
 
   // ----------------------------------------- projection and aggregation ----
 
+  /// Evaluates the select list over `*ws` into `*out`: a batch stays a
+  /// batch unless `rows_out` asks for rows (the final result).
   Status Project(const SelectStmt& s, const ColumnEnv& env,
-                 const WorkingSet& ws, const EvalContext& ctx,
-                 ResultSet* out) {
+                 const EvalContext& ctx, bool rows_out, WorkingSet* ws,
+                 Materialized* out) {
     // Expand stars into slot references.
     struct OutputCol {
       std::string name;
@@ -1905,33 +2284,60 @@ class Executor::Impl {
 
     out->columns.clear();
     for (const auto& c : cols) out->columns.push_back(c.name);
-    out->rows.clear();
-    out->rows.reserve(ws.size());
-    if (ws.is_batch) {
+    if (ws->is_batch && rows_out) {
       // Evaluate each computed item once over the whole batch, then
       // assemble output rows from slot copies and the computed vectors.
       std::vector<ColumnVector> computed(cols.size());
       for (size_t c = 0; c < cols.size(); ++c) {
         if (cols[c].slot >= 0) continue;
         ASSIGN_OR_RETURN(computed[c],
-                         EvalExprBatch(*cols[c].expr, env, ws.batch, ctx));
+                         EvalExprBatch(*cols[c].expr, env, ws->batch, ctx));
       }
-      for (size_t i = 0; i < ws.batch.num_rows; ++i) {
+      std::vector<Row>& rows = out->ws.rows;
+      rows.reserve(ws->batch.num_rows);
+      for (size_t i = 0; i < ws->batch.num_rows; ++i) {
         Row projected;
         projected.reserve(cols.size());
         for (size_t c = 0; c < cols.size(); ++c) {
-          if (cols[c].slot >= 0) {
-            projected.push_back(
-                ws.batch.cols[static_cast<size_t>(cols[c].slot)].GetValue(i));
-          } else {
-            projected.push_back(computed[c].GetValue(i));
-          }
+          const ColumnVector& src =
+              cols[c].slot >= 0
+                  ? ws->batch.cols[static_cast<size_t>(cols[c].slot)]
+                  : computed[c];
+          projected.push_back(src.GetValue(i));
         }
-        out->rows.push_back(std::move(projected));
+        rows.push_back(std::move(projected));
       }
       return Status::OK();
     }
-    for (const Row& row : ws.rows) {
+    if (ws->is_batch) {
+      // Evaluate each computed item once over the whole batch; slot items
+      // take their input column, moved when no other item reads it.
+      ColumnBatch& in = ws->batch;
+      std::vector<int> readers(in.num_cols(), 0);
+      for (const auto& c : cols) {
+        if (c.slot >= 0) ++readers[static_cast<size_t>(c.slot)];
+      }
+      ColumnBatch projected;
+      projected.num_rows = in.num_rows;
+      projected.cols.resize(cols.size());
+      for (size_t c = 0; c < cols.size(); ++c) {
+        if (cols[c].slot >= 0) continue;
+        ASSIGN_OR_RETURN(projected.cols[c],
+                         EvalExprBatch(*cols[c].expr, env, in, ctx));
+      }
+      for (size_t c = 0; c < cols.size(); ++c) {
+        if (cols[c].slot < 0) continue;
+        const size_t slot = static_cast<size_t>(cols[c].slot);
+        projected.cols[c] = --readers[slot] == 0 ? std::move(in.cols[slot])
+                                                 : in.cols[slot];
+      }
+      out->ws.SetBatch(std::move(projected));
+      return Status::OK();
+    }
+    std::vector<Row>& rows = out->ws.rows;
+    rows.clear();
+    rows.reserve(ws->rows.size());
+    for (const Row& row : ws->rows) {
       Row projected;
       projected.reserve(cols.size());
       for (const auto& c : cols) {
@@ -1942,7 +2348,7 @@ class Executor::Impl {
           projected.push_back(std::move(v));
         }
       }
-      out->rows.push_back(std::move(projected));
+      rows.push_back(std::move(projected));
     }
     return Status::OK();
   }
@@ -2157,14 +2563,18 @@ class Executor::Impl {
     return out;
   }
 
-  static void Dedupe(ResultSet* out) {
+  static void Dedupe(WorkingSet* ws) {
+    if (ws->is_batch) {
+      DedupeBatch(&ws->batch);
+      return;
+    }
     std::unordered_set<Row, RowHash, RowEq> seen;
     std::vector<Row> kept;
-    kept.reserve(out->rows.size());
-    for (auto& row : out->rows) {
+    kept.reserve(ws->rows.size());
+    for (auto& row : ws->rows) {
       if (seen.insert(row).second) kept.push_back(std::move(row));
     }
-    out->rows = std::move(kept);
+    ws->rows = std::move(kept);
   }
 
   // --------------------------------------------------- IN subqueries ----
@@ -2183,12 +2593,19 @@ class Executor::Impl {
     collect(s.having, collect);
     for (const auto& item : s.items) collect(item.expr, collect);
     for (const Expr* node : nodes) {
-      ASSIGN_OR_RETURN(ResultSet res, ExecSelect(*node->subquery));
+      ASSIGN_OR_RETURN(Materialized res, ExecSelect(*node->subquery));
       if (res.columns.size() != 1) {
         return Status::InvalidArgument("IN subquery must return one column");
       }
       auto& set = ctx->in_subquery_sets[node];
-      for (auto& row : res.rows) {
+      if (res.ws.is_batch) {
+        const ColumnVector& col = res.ws.batch.cols[0];
+        for (size_t i = 0; i < res.ws.batch.num_rows; ++i) {
+          if (!col.IsNull(i)) set.insert(col.GetValue(i));
+        }
+        continue;
+      }
+      for (auto& row : res.ws.rows) {
         if (!row[0].is_null()) set.insert(std::move(row[0]));
       }
     }
@@ -2213,7 +2630,7 @@ class Executor::Impl {
   const ParamBindings* params_ = nullptr;
   PlanMemo* memo_ = nullptr;
   bool memo_enabled_ = true;
-  std::map<std::string, ResultSet> ctes_;
+  std::map<std::string, Materialized> ctes_;
   std::string context_ = "query";
   bool index_access_hit_ = false;
   // EXPLAIN ANALYZE sink (&stats_->spans when analyzing, else null so every
@@ -2258,37 +2675,67 @@ Result<PreparedQueryPtr> PreparedQuery::Compile(std::string_view sql_text,
   return PreparedQueryPtr(std::move(prepared));
 }
 
-std::string PlanCache::NormalizeSql(std::string_view sql_text) {
-  std::string out;
-  out.reserve(sql_text.size());
+namespace {
+
+/// NormalizeSql's scan: hands each character of the normalized text to
+/// `emit` in order, stopping early when `emit` returns false.
+template <typename Emit>
+void EmitNormalizedSql(std::string_view sql_text, Emit&& emit) {
   bool in_ws = false;
   bool in_string = false;
+  bool emitted = false;
   for (char c : sql_text) {
     if (in_string) {
-      out.push_back(c);
+      if (!emit(c)) return;
       if (c == '\'') in_string = false;
-      continue;
-    }
-    if (c == '\'') {
-      in_string = true;
-      out.push_back(c);
       continue;
     }
     if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
       in_ws = true;
       continue;
     }
-    if (in_ws && !out.empty()) out.push_back(' ');
+    if (in_ws && emitted && !emit(' ')) return;
     in_ws = false;
-    out.push_back(c);
+    emitted = true;
+    if (!emit(c)) return;
+    if (c == '\'') in_string = true;
   }
+}
+
+/// True when NormalizeSql(sql_text) == sql_text, decided without building
+/// the normalized copy.
+bool IsNormalizedSql(std::string_view sql_text) {
+  size_t pos = 0;
+  bool same = true;
+  EmitNormalizedSql(sql_text, [&](char c) {
+    same = pos < sql_text.size() && sql_text[pos] == c;
+    ++pos;
+    return same;
+  });
+  return same && pos == sql_text.size();
+}
+
+}  // namespace
+
+std::string PlanCache::NormalizeSql(std::string_view sql_text) {
+  std::string out;
+  out.reserve(sql_text.size());
+  EmitNormalizedSql(sql_text, [&](char c) {
+    out.push_back(c);
+    return true;
+  });
   return out;
 }
 
 Result<PreparedQueryPtr> PlanCache::GetOrPrepare(std::string_view sql_text,
                                                  uint64_t epoch,
                                                  ExecStats* stats) {
-  const std::string key = NormalizeSql(sql_text);
+  // Normalize only text that needs it; the store's templates and repeated
+  // query text are looked up in place.
+  std::string normalized;
+  const std::string_view key =
+      IsNormalizedSql(sql_text) ? sql_text
+                                : (normalized = NormalizeSql(sql_text));
   uint64_t prepare_ns = 0;
   bool hit = false;
   Result<PreparedQueryPtr> prepared = cache_.GetOrLoad(

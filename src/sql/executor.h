@@ -51,6 +51,11 @@ struct ExecStats {
   uint64_t index_nl_joins = 0;
   uint64_t rows_scanned = 0;
   uint64_t recursive_iterations = 0;
+  /// Batch-to-row collapses in vectorized execution: each time an operator
+  /// without a batched implementation (sort, recursive CTE, JSON_EDGES,
+  /// non-indexed outer join, INTERSECT/EXCEPT) turned a ColumnBatch back
+  /// into rows. Always 0 with Options::vectorized off.
+  uint64_t batch_collapses = 0;
   /// Prepared-query pipeline: executions that reused a cached plan vs.
   /// executions that had to lex/parse/plan.
   uint64_t plan_cache_hits = 0;
@@ -130,7 +135,11 @@ class PlanCache {
   static std::string NormalizeSql(std::string_view sql_text);
 
  private:
-  util::LruCache<std::string, PreparedQueryPtr> cache_;
+  // Transparent lookup: already-normalized text (the store's fixed
+  // templates) probes the cache without a copy.
+  util::LruCache<std::string, PreparedQueryPtr, util::StringViewHash,
+                 std::equal_to<>>
+      cache_;
 };
 
 class Executor {

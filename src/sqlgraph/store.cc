@@ -838,8 +838,12 @@ Result<std::optional<EdgeId>> SqlGraphStore::FindEdge(
       sql::ResultSet rs,
       RunTemplate("SELECT EID FROM EA WHERE INV = ? AND LBL = ? AND OUTV = ?",
                   std::move(binds)));
-  if (rs.rows.empty()) return std::optional<EdgeId>();
-  return std::optional<EdgeId>(static_cast<EdgeId>(rs.rows[0][0].AsInt()));
+  if (!rs.rows.empty()) {
+    return std::optional<EdgeId>(static_cast<EdgeId>(rs.rows[0][0].AsInt()));
+  }
+  lock.Release();
+  RETURN_NOT_OK(CheckVertexExists(src));
+  return std::optional<EdgeId>();
 }
 
 // -------------------------------------------------------------- adjacency --
@@ -884,7 +888,19 @@ Result<std::vector<EdgeRecord>> SqlGraphStore::GetOutEdgesAt(
 
 Result<std::vector<EdgeRecord>> SqlGraphStore::GetOutEdges(
     VertexId src, const std::string& label) const {
-  return GetOutEdgesAt(src, label, /*read_ts=*/0);
+  ASSIGN_OR_RETURN(std::vector<EdgeRecord> edges,
+                   GetOutEdgesAt(src, label, /*read_ts=*/0));
+  if (edges.empty()) RETURN_NOT_OK(CheckVertexExists(src));
+  return edges;
+}
+
+Status SqlGraphStore::CheckVertexExists(VertexId vid) const {
+  WriteLock lock(const_cast<SqlGraphStore*>(this), {{kVa, false}});
+  ASSIGN_OR_RETURN(std::vector<RowId> rids,
+                   db_.GetTable(kVaTable)->LookupEq(
+                       {0}, {{Value(static_cast<int64_t>(vid))}}));
+  if (rids.empty()) return Status::NotFound("vertex " + std::to_string(vid));
+  return Status::OK();
 }
 
 Result<std::vector<EdgeRecord>> SqlGraphStore::GetInEdgesAt(
@@ -954,8 +970,12 @@ Result<int64_t> SqlGraphStore::CountOutEdges(VertexId src,
         rs, RunTemplate("SELECT COUNT(*) FROM EA WHERE INV = ? AND LBL = ?",
                         std::move(binds)));
   }
-  if (rs.rows.empty()) return int64_t{0};
-  return rs.rows[0][0].AsInt();
+  const int64_t count = rs.rows.empty() ? 0 : rs.rows[0][0].AsInt();
+  if (count == 0) {
+    lock.Release();
+    RETURN_NOT_OK(CheckVertexExists(src));
+  }
+  return count;
 }
 
 Result<std::vector<VertexId>> SqlGraphStore::Out(
@@ -972,6 +992,10 @@ Result<std::vector<VertexId>> SqlGraphStore::Out(
     ASSIGN_OR_RETURN(
         rs, RunTemplate("SELECT OUTV FROM EA WHERE INV = ? AND LBL = ?",
                         std::move(binds)));
+  }
+  if (rs.rows.empty()) {
+    lock.Release();
+    RETURN_NOT_OK(CheckVertexExists(vid));
   }
   std::vector<VertexId> out;
   out.reserve(rs.rows.size());
@@ -995,6 +1019,10 @@ Result<std::vector<VertexId>> SqlGraphStore::In(
     ASSIGN_OR_RETURN(
         rs, RunTemplate("SELECT INV FROM EA WHERE OUTV = ? AND LBL = ?",
                         std::move(binds)));
+  }
+  if (rs.rows.empty()) {
+    lock.Release();
+    RETURN_NOT_OK(CheckVertexExists(vid));
   }
   std::vector<VertexId> out;
   out.reserve(rs.rows.size());

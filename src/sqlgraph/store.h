@@ -273,6 +273,11 @@ class SqlGraphStore {
       bool exclusive;
     };
     WriteLock(const SqlGraphStore* store, std::vector<Req> reqs);
+    /// Releases every table lock before the end of the scope.
+    void Release() {
+      exclusive_.clear();
+      shared_.clear();
+    }
 
    private:
     // Note: vectors keep acquisition order; both kinds interleave correctly
@@ -383,6 +388,11 @@ class SqlGraphStore {
   util::Result<std::vector<EdgeRecord>> GetInEdgesAt(VertexId dst,
                                                      const std::string& label,
                                                      uint64_t read_ts) const;
+  /// NotFound unless `vid` is a live vertex. The adjacency reads probe VA
+  /// this way only when their EA result is empty, so a deleted or absent
+  /// vertex answers NotFound (as GetVertex and baseline::NativeStore do)
+  /// while a read that found edges costs nothing extra.
+  util::Status CheckVertexExists(VertexId vid) const;
   util::Result<sql::ResultSet> ExecuteSqlInternal(std::string_view text,
                                                   uint64_t read_ts,
                                                   sql::ExecStats* stats);

@@ -36,6 +36,7 @@
 #include <list>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -47,7 +48,20 @@
 namespace sqlgraph {
 namespace util {
 
-template <typename K, typename V, typename Hash = std::hash<K>>
+/// Transparent string hash: with std::equal_to<> it lets an
+/// LruCache<std::string, V> look keys up by std::string_view, so a hit
+/// never materializes a std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// `Hash` and `Eq` may be transparent (see StringViewHash); lookups then
+/// accept any key-like type they accept, and only a miss builds a `K`.
+template <typename K, typename V, typename Hash = std::hash<K>,
+          typename Eq = std::equal_to<K>>
 class LruCache {
  public:
   LruCache(size_t capacity, LockRank rank, const char* name)
@@ -61,8 +75,8 @@ class LruCache {
   /// `fresh(value)` is false is replaced by a new load; `fresh` runs under
   /// the cache mutex and must not lock. `*hit`, when non-null, reports
   /// whether this caller was served without loading.
-  template <typename Load, typename Fresh>
-  Result<V> GetOrLoad(const K& key, Load&& load, Fresh&& fresh,
+  template <typename KeyArg, typename Load, typename Fresh>
+  Result<V> GetOrLoad(const KeyArg& key, Load&& load, Fresh&& fresh,
                       bool* hit = nullptr) EXCLUDES(mu_) {
     for (;;) {
       std::shared_ptr<Flight> flight;
@@ -87,8 +101,9 @@ class LruCache {
           // until the load's result is set.
           flight = std::make_shared<Flight>(rank_, name_);
           flight->Begin();
-          lru_.push_front(key);
-          entries_.emplace(key, Entry{lru_.begin(), flight, std::nullopt});
+          lru_.push_front(K(key));
+          entries_.emplace(lru_.front(),
+                           Entry{lru_.begin(), flight, std::nullopt});
           while (entries_.size() > capacity_) {
             entries_.erase(lru_.back());
             lru_.pop_back();
@@ -110,8 +125,8 @@ class LruCache {
   }
 
   /// GetOrLoad for values that never go stale.
-  template <typename Load>
-  Result<V> GetOrLoad(const K& key, Load&& load, bool* hit = nullptr)
+  template <typename KeyArg, typename Load>
+  Result<V> GetOrLoad(const KeyArg& key, Load&& load, bool* hit = nullptr)
       EXCLUDES(mu_) {
     return GetOrLoad(
         key, std::forward<Load>(load), [](const V&) { return true; }, hit);
@@ -175,7 +190,8 @@ class LruCache {
   // Hands the load's result to the waiters, then caches it (success) or
   // drops the pending entry (failure) — unless Clear() or eviction already
   // removed that entry.
-  Result<V> Publish(const K& key, const std::shared_ptr<Flight>& flight,
+  template <typename KeyArg>
+  Result<V> Publish(const KeyArg& key, const std::shared_ptr<Flight>& flight,
                     Result<V> result) EXCLUDES(mu_) {
     flight->End(result);
     MutexLock guard(&mu_);
@@ -197,7 +213,7 @@ class LruCache {
   const char* const name_;
   mutable Mutex mu_;
   std::list<K> lru_ GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<K, Entry, Hash> entries_ GUARDED_BY(mu_);
+  std::unordered_map<K, Entry, Hash, Eq> entries_ GUARDED_BY(mu_);
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -156,6 +156,61 @@ TEST_P(GraphDbTest, LinkPrimitives) {
   EXPECT_EQ(*db_->CountOutEdges(1, ""), 0);
 }
 
+TEST(DeletedVertexReadsTest, SqlGraphStoreMatchesNativeStore) {
+  // Link reads on a deleted (1) or never-created (77) vertex answer
+  // NotFound in both stores; on a live vertex with no matching edges (2 has
+  // no out-edges, 0 no 'likes') both answer OK and empty.
+  const PropertyGraph g = SampleGraph();
+  auto native = NativeStore::Build(g, NativeStoreConfig{});
+  ASSERT_TRUE(native.ok());
+  auto store = core::SqlGraphStore::Build(g, core::StoreConfig{});
+  ASSERT_TRUE(store.ok());
+  NativeStore& n = **native;
+  core::SqlGraphStore& s = **store;
+  ASSERT_TRUE(n.RemoveVertex(1).ok());
+  ASSERT_TRUE(s.RemoveVertex(1).ok());
+
+  auto same_status = [](const util::Status& a, const util::Status& b) {
+    return a.ok() == b.ok() && a.IsNotFound() == b.IsNotFound();
+  };
+  for (VertexId v : {0, 1, 2, 3, 77}) {
+    for (const std::string label : {"", "knows", "likes"}) {
+      const std::vector<std::string> labels =
+          label.empty() ? std::vector<std::string>{}
+                        : std::vector<std::string>{label};
+      const std::string at = "vertex " + std::to_string(v) + " label '" +
+                             label + "'";
+      auto ne = n.GetOutEdges(v, label);
+      auto se = s.GetOutEdges(v, label);
+      ASSERT_TRUE(same_status(ne.status(), se.status()))
+          << at << ": " << ne.status().ToString() << " vs "
+          << se.status().ToString();
+      if (ne.ok()) EXPECT_EQ(ne->size(), se->size()) << at;
+      auto nc = n.CountOutEdges(v, label);
+      auto sc = s.CountOutEdges(v, label);
+      ASSERT_TRUE(same_status(nc.status(), sc.status())) << at;
+      if (nc.ok()) EXPECT_EQ(*nc, *sc) << at;
+      for (VertexId dst : {2, 3}) {
+        auto nf = n.FindEdge(v, label, dst);
+        auto sf = s.FindEdge(v, label, dst);
+        ASSERT_TRUE(same_status(nf.status(), sf.status())) << at;
+        if (nf.ok()) EXPECT_EQ(nf->has_value(), sf->has_value()) << at;
+      }
+      auto no = n.Out(v, labels);
+      auto so = s.Out(v, label);
+      ASSERT_TRUE(same_status(no.status(), so.status())) << at;
+      if (no.ok()) EXPECT_EQ(Sorted(*no), Sorted(*so)) << at;
+      auto ni = n.In(v, labels);
+      auto si = s.In(v, label);
+      ASSERT_TRUE(same_status(ni.status(), si.status())) << at;
+      if (ni.ok()) EXPECT_EQ(Sorted(*ni), Sorted(*si)) << at;
+    }
+  }
+  EXPECT_TRUE(s.Out(1).status().IsNotFound());
+  EXPECT_TRUE(s.CountOutEdges(77, "").status().IsNotFound());
+  EXPECT_TRUE(s.Out(2).ok());
+}
+
 TEST_P(GraphDbTest, VertexLookups) {
   EXPECT_EQ(db_->AllVertices()->size(), 4u);
   auto by_name = db_->VerticesByAttr("name", rel::Value("josh"));

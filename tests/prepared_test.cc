@@ -147,6 +147,28 @@ TEST_F(PreparedTest, WhitespaceVariantsShareOneEntry) {
   EXPECT_GT(stats.plan_cache_hits, 0u);
 }
 
+TEST(PlanCacheTest, NormalizedAndRawSpellingsShareOneEntry) {
+  // Already-normalized text is looked up in place, raw text through
+  // NormalizeSql; either order of first sight must land on one entry.
+  const char* normalized = "SELECT COUNT(*) FROM EA WHERE LBL = 'a  b'";
+  const char* raw = "  SELECT COUNT(*)\n\tFROM   EA WHERE LBL = 'a  b'  ";
+  ASSERT_EQ(sql::PlanCache::NormalizeSql(raw), normalized);
+  for (bool normalized_first : {true, false}) {
+    sql::PlanCache cache;
+    const char* first = normalized_first ? normalized : raw;
+    const char* second = normalized_first ? raw : normalized;
+    auto a = cache.GetOrPrepare(first, /*epoch=*/0, nullptr);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    auto b = cache.GetOrPrepare(second, /*epoch=*/0, nullptr);
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a->get(), b->get());
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ((*a)->sql(), normalized);
+  }
+}
+
 TEST_F(PreparedTest, ExecutePreparedCountsHits) {
   auto prepared = store_->Prepare("SELECT OUTV FROM EA WHERE INV = ?");
   ASSERT_TRUE(prepared.ok());

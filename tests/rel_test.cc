@@ -330,6 +330,30 @@ std::vector<std::pair<RowId, std::string>> ScanEncoded(const RowStore& store) {
   return out;
 }
 
+// A random ascending subset of RandomModelRow's three columns; empty (every
+// column) one time in eight.
+std::vector<int> RandomProjection(util::Rng* rng) {
+  std::vector<int> projection;
+  for (int c = 0; c < 3; ++c) {
+    if (rng->Chance(0.5)) projection.push_back(c);
+  }
+  return projection;
+}
+
+// GetProjected on both stores appends the same columns after a value the
+// output already holds.
+void ExpectSameProjectedRead(const RowStore& paged, const RowStore& model,
+                             RowId rid, const std::vector<int>& projection) {
+  SCOPED_TRACE("projected read of row " + std::to_string(rid));
+  Row out_paged{Value(int64_t{-1})};
+  Row out_model{Value(int64_t{-1})};
+  const util::Status a = paged.GetProjected(rid, projection, &out_paged);
+  ASSERT_EQ(a.code(), model.GetProjected(rid, projection, &out_model).code());
+  if (!a.ok()) return;
+  ASSERT_EQ(out_paged.size(), 1 + (projection.empty() ? 3 : projection.size()));
+  ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
+}
+
 // (rows_per_page, pool budget in pages; 0 = room for the whole store)
 class PagedRowStoreModelTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
@@ -367,6 +391,7 @@ TEST_P(PagedRowStoreModelTest, MatchesVectorRowStore) {
         if (a.ok()) {
           ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
         }
+        ExpectSameProjectedRead(paged, model, rid, RandomProjection(&rng));
         break;
       }
       case 4:
@@ -411,6 +436,7 @@ TEST_P(PagedRowStoreModelTest, MatchesVectorRowStore) {
     if (model.IsLive(rid)) {
       ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
     }
+    ExpectSameProjectedRead(paged, model, rid, RandomProjection(&rng));
   }
 }
 
@@ -419,6 +445,22 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{4},
                                          size_t{64}),
                        ::testing::Values(size_t{1}, size_t{4}, size_t{0})));
+
+TEST(PagedRowStoreTest, ProjectionMustBeAscending) {
+  BufferPool pool(size_t{1} << 20);
+  PagedRowStore paged(&pool, 3, /*rows_per_page=*/1);
+  util::Rng rng(7);
+  paged.Append(RandomModelRow(&rng));
+  paged.Append(RandomModelRow(&rng));  // seals the first row's page
+  Row out;
+  EXPECT_TRUE(paged.GetProjected(0, {0, 2}, &out).ok());
+  EXPECT_EQ(out.size(), 2u);
+  for (const std::vector<int>& bad :
+       {std::vector<int>{2, 0}, std::vector<int>{1, 1}, std::vector<int>{3}}) {
+    out.clear();
+    EXPECT_TRUE(paged.GetProjected(0, bad, &out).IsInvalidArgument());
+  }
+}
 
 // ------------------------------------------------------------ BufferPool --
 

@@ -203,8 +203,9 @@ TEST_F(StoreTest, SoftDeleteVertex) {
   EXPECT_TRUE(store_->GetEdge(1).status().IsNotFound());
   EXPECT_TRUE(store_->GetEdge(3).status().IsNotFound());
   EXPECT_TRUE(store_->GetEdge(4).status().IsNotFound());
-  // His own adjacency rows are hidden (negated ids).
-  EXPECT_TRUE(store_->Out(3)->empty());
+  // His own adjacency rows are hidden (negated ids), and adjacency reads on
+  // the deleted vertex answer NotFound like GetVertex.
+  EXPECT_TRUE(store_->Out(3).status().IsNotFound());
   // g.V-style queries exclude him via the VID >= 0 guard.
   auto result = store_->ExecuteSql("SELECT COUNT(*) FROM VA WHERE VID >= 0");
   ASSERT_TRUE(result.ok());
