@@ -1,22 +1,24 @@
 // Relational graph analytics (graph/analytics.h): PageRank, weakly-
-// connected components, and triangle counting through the SQL executor in
-// both modes — vectorized batch-at-a-time vs row-at-a-time — over the same
-// store. Every case first cross-checks that the two modes produce identical
-// results, then times them.
+// connected components, and triangle counting through the SQL executor over
+// one store. Every case is first checked against the in-memory reference
+// implementations (tests/analytics_reference.h), then timed.
 //
 //   ./bench_analytics [--n=3000] [--deg=8] [--runs=4] [--quick] [--check]
 //
 // --quick shrinks the graph and run count for CI smoke use; --check exits
-// non-zero if the vectorized executor is slower than row-at-a-time on any
-// of the scan/join-heavy cases (the ci/check.sh perf-smoke gate).
+// non-zero when a SQL result differs from its reference (the ci/check.sh
+// analytics smoke stage).
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <map>
 #include <random>
 #include <string>
-#include <vector>
 
+#include "../tests/analytics_reference.h"
 #include "bench_common.h"
 #include "graph/analytics.h"
 #include "graph/property_graph.h"
@@ -38,19 +40,74 @@ graph::PropertyGraph RandomGraph(int64_t n, int64_t deg) {
   return g;
 }
 
-struct CaseResult {
-  std::string name;
-  double vec_ms = 0;   // median
-  double row_ms = 0;
-  double speedup = 0;  // row / vec
-};
+/// Runs each algorithm once and compares it with its reference; prints the
+/// first mismatch and returns false on any.
+bool MatchesReferences(core::SqlGraphStore* s, const graph::PropertyGraph& g,
+                       const graph::AnalyticsOptions& opts) {
+  const auto n = static_cast<int64_t>(g.NumVertices());
+  graph::EdgeList edges;
+  for (const auto& e : g.edges()) edges.emplace_back(e.src, e.dst);
 
-graph::AnalyticsOptions ModeOpts(bool vectorized, int pr_iters) {
-  graph::AnalyticsOptions opts;
-  opts.vectorized = vectorized;
-  opts.max_iterations = pr_iters;
-  opts.tolerance = 0;  // fixed iteration count: identical work every run
-  return opts;
+  auto pr = graph::PageRank(s, opts);
+  if (!pr.ok()) {
+    std::fprintf(stderr, "pagerank failed: %s\n",
+                 pr.status().ToString().c_str());
+    return false;
+  }
+  const std::map<int64_t, double> want_pr =
+      graph::ReferencePageRank(n, edges, opts);
+  if (pr->ranks.size() != want_pr.size()) {
+    std::fprintf(stderr, "pagerank: %zu ranks, reference has %zu\n",
+                 pr->ranks.size(), want_pr.size());
+    return false;
+  }
+  for (const auto& [vid, rank] : pr->ranks) {
+    auto it = want_pr.find(vid);
+    if (it == want_pr.end() || std::fabs(rank - it->second) > 1e-9) {
+      std::fprintf(stderr, "pagerank differs from the reference at vid %lld\n",
+                   static_cast<long long>(vid));
+      return false;
+    }
+  }
+
+  auto wcc = graph::WeaklyConnectedComponents(s);
+  if (!wcc.ok()) {
+    std::fprintf(stderr, "wcc failed: %s\n", wcc.status().ToString().c_str());
+    return false;
+  }
+  const std::map<int64_t, int64_t> want_wcc = graph::ReferenceWcc(n, edges);
+  if (wcc->components.size() != want_wcc.size()) {
+    std::fprintf(stderr, "wcc: %zu labels, reference has %zu\n",
+                 wcc->components.size(), want_wcc.size());
+    return false;
+  }
+  for (const auto& [vid, label] : wcc->components) {
+    auto it = want_wcc.find(vid);
+    if (it == want_wcc.end() || it->second != label) {
+      std::fprintf(stderr, "wcc differs from the reference at vid %lld\n",
+                   static_cast<long long>(vid));
+      return false;
+    }
+  }
+
+  auto tri = graph::TriangleCount(s);
+  if (!tri.ok()) {
+    std::fprintf(stderr, "triangles failed: %s\n",
+                 tri.status().ToString().c_str());
+    return false;
+  }
+  const int64_t want_tri = graph::ReferenceTriangles(edges);
+  if (*tri != want_tri) {
+    std::fprintf(stderr, "triangles: %lld, reference %lld\n",
+                 static_cast<long long>(*tri),
+                 static_cast<long long>(want_tri));
+    return false;
+  }
+  std::printf("reference check ok: %zu ranks, %zu components, %lld "
+              "triangles\n",
+              pr->ranks.size(), wcc->components.size(),
+              static_cast<long long>(*tri));
+  return true;
 }
 
 }  // namespace
@@ -67,9 +124,8 @@ int main(int argc, char** argv) {
   const int64_t deg = FlagInt(argc, argv, "--deg", 8);
   const int runs = static_cast<int>(
       FlagInt(argc, argv, "--runs", quick ? 3 : 4));
-  const int pr_iters = quick ? 4 : 8;
 
-  Banner("graph analytics: vectorized vs row-at-a-time SQL execution");
+  Banner("graph analytics: PageRank, WCC and triangles as SQL");
   std::printf("graph: %lld vertices, avg out-degree %lld; %d timed runs\n",
               static_cast<long long>(n), static_cast<long long>(deg), runs);
 
@@ -81,108 +137,37 @@ int main(int argc, char** argv) {
     return 1;
   }
   core::SqlGraphStore* s = store->get();
-  const graph::AnalyticsOptions vec_opts = ModeOpts(true, pr_iters);
-  const graph::AnalyticsOptions row_opts = ModeOpts(false, pr_iters);
+  graph::AnalyticsOptions opts;
+  opts.max_iterations = quick ? 4 : 8;
+  opts.tolerance = 0;  // fixed iteration count: identical work every run
 
-  // ---- correctness cross-check before timing anything ----
-  {
-    auto pv = graph::PageRank(s, vec_opts);
-    auto pr = graph::PageRank(s, row_opts);
-    if (!pv.ok() || !pr.ok()) {
-      std::fprintf(stderr, "pagerank failed\n");
-      return 1;
-    }
-    if (pv->ranks.size() != pr->ranks.size()) {
-      std::fprintf(stderr, "pagerank mode mismatch: result sizes differ\n");
-      return 1;
-    }
-    for (size_t i = 0; i < pv->ranks.size(); ++i) {
-      if (pv->ranks[i].first != pr->ranks[i].first ||
-          std::fabs(pv->ranks[i].second - pr->ranks[i].second) > 1e-12) {
-        std::fprintf(stderr, "pagerank mode mismatch at vid %lld\n",
-                     static_cast<long long>(pv->ranks[i].first));
-        return 1;
-      }
-    }
-    auto wv = graph::WeaklyConnectedComponents(s, vec_opts);
-    auto wr = graph::WeaklyConnectedComponents(s, row_opts);
-    if (!wv.ok() || !wr.ok() || wv->components != wr->components) {
-      std::fprintf(stderr, "wcc mode mismatch\n");
-      return 1;
-    }
-    auto tv = graph::TriangleCount(s, vec_opts);
-    auto tr = graph::TriangleCount(s, row_opts);
-    if (!tv.ok() || !tr.ok() || *tv != *tr) {
-      std::fprintf(stderr, "triangle count mode mismatch\n");
-      return 1;
-    }
-    std::printf("cross-check ok: %zu ranks, %zu components, %lld triangles\n",
-                pv->ranks.size(), wv->components.size(),
-                static_cast<long long>(*tv));
+  if (check && !MatchesReferences(s, g, opts)) {
+    std::fprintf(stderr, "CHECK FAILED: SQL analytics differ from the "
+                         "references\n");
+    return 1;
   }
 
   struct Case {
     const char* name;
-    std::function<void(const graph::AnalyticsOptions&)> run;
+    std::function<bool()> run;
   };
   const Case cases[] = {
-      {"pagerank",
-       [&](const graph::AnalyticsOptions& o) {
-         auto r = graph::PageRank(s, o);
-         if (!r.ok()) std::abort();
-       }},
-      {"wcc",
-       [&](const graph::AnalyticsOptions& o) {
-         auto r = graph::WeaklyConnectedComponents(s, o);
-         if (!r.ok()) std::abort();
-       }},
-      {"triangles",
-       [&](const graph::AnalyticsOptions& o) {
-         auto r = graph::TriangleCount(s, o);
-         if (!r.ok()) std::abort();
-       }},
+      {"pagerank", [&] { return graph::PageRank(s, opts).ok(); }},
+      {"wcc", [&] { return graph::WeaklyConnectedComponents(s).ok(); }},
+      {"triangles", [&] { return graph::TriangleCount(s).ok(); }},
   };
-
-  std::vector<CaseResult> results;
   for (const Case& c : cases) {
-    util::Samples vec =
-        TimedRuns(runs, [&] { c.run(vec_opts); });
-    util::Samples row =
-        TimedRuns(runs, [&] { c.run(row_opts); });
-    CaseResult r;
-    r.name = c.name;
-    r.vec_ms = vec.Percentile(0.5);
-    r.row_ms = row.Percentile(0.5);
-    r.speedup = r.vec_ms > 0 ? r.row_ms / r.vec_ms : 0;
-    results.push_back(r);
-    std::printf("%-10s vectorized %9.2f ms   row-at-a-time %9.2f ms   "
-                "speedup %.2fx\n",
-                c.name, r.vec_ms, r.row_ms, r.speedup);
+    util::Samples t = TimedRuns(runs, [&] {
+      if (!c.run()) std::abort();
+    });
+    const double ms = t.Percentile(0.5);
+    std::printf("%-10s %9.2f ms\n", c.name, ms);
     JsonLine("bench_analytics")
-        .Str("case", r.name)
+        .Str("case", c.name)
         .Num("vertices", static_cast<double>(n))
         .Num("avg_degree", static_cast<double>(deg))
-        .Num("vectorized_ms_p50", r.vec_ms)
-        .Num("row_ms_p50", r.row_ms)
-        .Num("speedup", r.speedup)
+        .Num("ms_p50", ms)
         .Emit();
-  }
-
-  if (check) {
-    // Perf-smoke gate: the batch executor must not lose to the row executor
-    // on the scan/join-heavy analytics (full-table scans + hash joins).
-    bool ok = true;
-    for (const CaseResult& r : results) {
-      if (r.speedup < 1.0) {
-        std::fprintf(stderr,
-                     "PERF CHECK FAILED: %s vectorized %.2f ms slower than "
-                     "row-at-a-time %.2f ms (speedup %.2fx < 1.0x)\n",
-                     r.name.c_str(), r.vec_ms, r.row_ms, r.speedup);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("perf check ok: vectorized >= row-at-a-time on all cases\n");
   }
   return 0;
 }

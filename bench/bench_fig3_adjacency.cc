@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
                   FormatMs(json_ms.mean()),
                   util::StrFormat("%.1fx", json_ms.mean() /
                                                std::max(0.001, hash_ms.mean()))});
-    // Machine-readable line per query (ci/bench_snapshot.sh scrapes these).
+    // Machine-readable line per query.
     JsonLine("bench_fig3_adjacency")
         .Str("query", util::StrFormat("lq%d", q.id))
         .Num("median_ns", hash_ms.Percentile(0.5) * 1e6)

@@ -2,9 +2,9 @@
 # CI gate: regular build + tests, a crash-recovery smoke stage with an
 # elevated fault-injection trial count, a differential Gremlin fuzz stage
 # with elevated trials, a metrics-overhead guard (enabled vs disabled
-# registry on the micro-op benchmarks, budget 5%), a perf-smoke stage
-# (bench_analytics --quick --check: the vectorized executor must match the
-# row-at-a-time executor's results and not be slower), a paged LinkBench
+# registry on the micro-op benchmarks, budget 5%), an analytics smoke stage
+# (bench_analytics --quick --check: PageRank, WCC and triangle counting
+# through SQL must match their in-memory references), a paged LinkBench
 # stage (perfbench linkbench_paged for two seconds: shadow check,
 # CheckConsistency() and WAL reopen over a paged store), a DBpedia
 # Gremlin stage (perfbench dbpedia for two seconds: every Fig-8a/Table-1
@@ -12,21 +12,21 @@
 # Concurrent/Torture/StoreWorkload tests repeated until fail, up to 50
 # times), a schedule-exploration stage (the
 # util/sched deterministic explorer suites at an elevated PCT trial count),
-# a plan-verification gate (the differential harness at an elevated trial
-# count with sql/verify.h forced on — zero false rejections
-# — plus the SQLGRAPH_VERIFY_SELFTEST mutation modes, each of which must
-# be rejected), static-analysis lint
+# static-analysis lint
 # stages (the module-layering lint in ci/lint_layering.py and the
 # lock-graph cross-check in ci/lint_lock_graph.py — each including a
 # planted-fixture self-test — then clang -Wthread-safety -Werror build +
 # clang-tidy over
 # compile_commands.json; skipped with a notice when the clang toolchain is
 # absent), a transaction gate (the MVCC suite plus the transactional
-# crash-point oracle at an elevated trial count), ASan/UBSan and TSan
-# builds + tests (the TSan pass re-runs the metrics/differential/WAL
-# suites with concurrency and isolates the transaction-torture tests;
-# Debug sanitizer builds run with the lock-rank validator on by default),
-# a strict UBSan
+# crash-point oracle at an elevated trial count), an ASan/UBSan build +
+# tests followed by the plan-verification gate on that Debug tree (the
+# differential harness at an elevated trial count with sql/verify.h on —
+# zero false rejections — plus the SQLGRAPH_VERIFY_SELFTEST mutation modes,
+# each of which must be rejected), a TSan build + tests (the TSan pass
+# re-runs the metrics/differential/WAL suites with concurrency and isolates
+# the transaction-torture tests; Debug sanitizer builds run with the
+# lock-rank validator on by default), a strict UBSan
 # (-fno-sanitize-recover) full-suite pass, and a fuzz smoke stage that
 # builds the six src/fuzz targets and replays their seed corpora plus a
 # bounded mutation budget (libFuzzer under clang, the standalone driver
@@ -121,11 +121,11 @@ if [[ "${1:-}" != "--fast" ]]; then
       exit !(n > 0 && mean <= 1.05)
     }' /tmp/bench_metrics_on.csv /tmp/bench_metrics_off.csv
 
-  echo "== perf smoke (vectorized vs row-at-a-time analytics) =="
-  # The batch executor must not lose to the row-at-a-time executor on the
-  # scan/join-heavy analytics workloads (full-table scan + hash join +
-  # aggregate); bench_analytics cross-checks result equality first and
-  # exits non-zero on a mode mismatch or a slowdown.
+  echo "== analytics smoke (SQL PageRank/WCC/triangles vs references) =="
+  # The scan/join-heavy analytics workloads (full-table scan + hash join +
+  # aggregate) run through the SQL executor; bench_analytics compares each
+  # result with its in-memory reference (tests/analytics_reference.h) and
+  # exits non-zero on a mismatch, then times the three.
   cmake --build build -j "$(nproc)" --target bench_analytics
   ./build/bench/bench_analytics --quick --check
 
@@ -149,7 +149,7 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
   # 20 Fig-8a and 11 Table-1 Gremlin queries against the pipe-at-a-time
   # interpreter over a NativeStore (and the Table-2 SQL counts against the
   # generated graph), at warm-up and on every timed run. A two-second run
-  # puts the vectorized CTE chain's answers in CI; the last stdout line must
+  # puts the batched CTE chain's answers in CI; the last stdout line must
   # report "correct": true and "failed": 0.
   dbpedia_result="$(python3 perfbench/run.py --workload dbpedia \
     --seed 7 --seconds 2 --trace 0 | tail -n 1)"
@@ -158,27 +158,6 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
     "$dbpedia_result"
-
-  echo "== plan verification gate (elevated trials + mutation self-tests) =="
-  # The build above is unoptimized (no NDEBUG), so Options::verify_plans /
-  # StoreConfig::verify_plans default ON and every plan in the regular
-  # ctest pass already ran through sql/verify.h. This stage re-runs the
-  # differential harness at an elevated trial count — every random
-  # pipeline shape must verify with ZERO false rejections (a rejection
-  # fails the oracle comparison) — then proves the verifier actually
-  # rejects: each SQLGRAPH_VERIFY_SELFTEST mode plants a known-malformed
-  # plan fragment through the real checkers, and a passing test run under
-  # a plant means the checker went soft.
-  SQLGRAPH_DIFF_TRIALS=100 SQLGRAPH_VERIFY_PLANS=1 \
-    ./build/tests/sqlgraph_tests --gtest_filter='*Differential*'
-  for mode in dangling-column join-key-type stale-epoch; do
-    if SQLGRAPH_VERIFY_SELFTEST="${mode}" ./build/tests/sqlgraph_tests \
-        --gtest_filter='ExecutorTest.SelectConstant' >/dev/null 2>&1; then
-      echo "verifier failed to reject the '${mode}' planted defect" >&2
-      exit 1
-    fi
-    echo "  planted defect '${mode}': rejected"
-  done
 
   echo "== lint (module layering) =="
   # Pure-text lint: every cross-module #include edge under src/ must
@@ -230,6 +209,28 @@ sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
 
   echo "== ASan/UBSan build =="
   run_pass build-asan -DSQLGRAPH_SANITIZE=address -DCMAKE_BUILD_TYPE=Debug
+
+  echo "== plan verification gate (Debug tree: elevated trials + mutation self-tests) =="
+  # Options::verify_plans / StoreConfig::verify_plans default ON only
+  # without NDEBUG, so this gate runs on the Debug ASan tree (the Release
+  # `build` tree verifies no plan). The ctest pass above already ran every
+  # plan through sql/verify.h; this stage re-runs the differential harness
+  # at an elevated trial count — every random pipeline shape must verify
+  # with ZERO false rejections (a rejection fails the oracle comparison) —
+  # then proves the verifier actually rejects: each
+  # SQLGRAPH_VERIFY_SELFTEST mode plants a known-malformed plan fragment
+  # through the real checkers, and a passing test run under a plant means
+  # the checker went soft.
+  SQLGRAPH_DIFF_TRIALS=100 \
+    ./build-asan/tests/sqlgraph_tests --gtest_filter='*Differential*'
+  for mode in dangling-column join-key-type stale-epoch; do
+    if SQLGRAPH_VERIFY_SELFTEST="${mode}" ./build-asan/tests/sqlgraph_tests \
+        --gtest_filter='ExecutorTest.SelectConstant' >/dev/null 2>&1; then
+      echo "verifier failed to reject the '${mode}' planted defect" >&2
+      exit 1
+    fi
+    echo "  planted defect '${mode}': rejected"
+  done
 
   echo "== TSan build (metrics hot path + differential + WAL concurrency) =="
   run_pass build-tsan -DSQLGRAPH_SANITIZE=thread -DCMAKE_BUILD_TYPE=Debug

@@ -99,13 +99,6 @@ Status FillEdgeTable(rel::Table* table,
   return Status::OK();
 }
 
-sql::Executor MakeExecutor(core::SqlGraphStore* store,
-                           const AnalyticsOptions& options) {
-  sql::Executor::Options eopts;
-  eopts.vectorized = options.vectorized;
-  return sql::Executor(store->db(), eopts);
-}
-
 }  // namespace
 
 Result<PageRankResult> PageRank(core::SqlGraphStore* store,
@@ -131,7 +124,7 @@ Result<PageRankResult> PageRank(core::SqlGraphStore* store,
   rank.reserve(n);
   for (int64_t vid : adj.vids) rank[vid] = 1.0 / static_cast<double>(n);
 
-  sql::Executor exec = MakeExecutor(store, options);
+  sql::Executor exec(store->db());
   const std::string query =
       "SELECT t.DST AS VID, SUM(r.CONTRIB) AS S "
       "FROM __an_rank r, __an_edge t WHERE t.SRC = r.VID GROUP BY t.DST";
@@ -170,8 +163,7 @@ Result<PageRankResult> PageRank(core::SqlGraphStore* store,
   return result;
 }
 
-Result<WccResult> WeaklyConnectedComponents(core::SqlGraphStore* store,
-                                            const AnalyticsOptions& options) {
+Result<WccResult> WeaklyConnectedComponents(core::SqlGraphStore* store) {
   ASSIGN_OR_RETURN(Adjacency adj, SnapshotAdjacency(store));
   WccResult result;
   const size_t n = adj.vids.size();
@@ -195,7 +187,7 @@ Result<WccResult> WeaklyConnectedComponents(core::SqlGraphStore* store,
   label.reserve(n);
   for (int64_t vid : adj.vids) label[vid] = vid;
 
-  sql::Executor exec = MakeExecutor(store, options);
+  sql::Executor exec(store->db());
   const std::string query =
       "SELECT e.DST AS VID, MIN(l.LBL) AS M "
       "FROM __an_lbl l, __an_und e WHERE e.SRC = l.VID GROUP BY e.DST";
@@ -229,8 +221,7 @@ Result<WccResult> WeaklyConnectedComponents(core::SqlGraphStore* store,
   return result;
 }
 
-Result<int64_t> TriangleCount(core::SqlGraphStore* store,
-                              const AnalyticsOptions& options) {
+Result<int64_t> TriangleCount(core::SqlGraphStore* store) {
   ASSIGN_OR_RETURN(Adjacency adj, SnapshotAdjacency(store));
   // Canonical undirected edge set: (min, max), self-loops dropped,
   // parallel/reciprocal duplicates collapsed.
@@ -252,7 +243,7 @@ Result<int64_t> TriangleCount(core::SqlGraphStore* store,
         canon_table->Insert({rel::Value(src), rel::Value(dst)}).status());
   }
 
-  sql::Executor exec = MakeExecutor(store, options);
+  sql::Executor exec(store->db());
   // Triangle a < b < c matches exactly once: e1=(a,b), e2=(b,c), e3=(a,c).
   ASSIGN_OR_RETURN(
       sql::ResultSet res,

@@ -4,11 +4,9 @@
 //
 // Each algorithm snapshots the live adjacency out of EA into index-free
 // scratch tables (`__an_*`), so every iteration runs as a full-table
-// scan + hash join + aggregate pipeline — the shape the vectorized batch
-// executor targets. AnalyticsOptions::vectorized toggles the executor mode
-// (sql::Executor::Options::vectorized) without changing results;
-// bench/bench_analytics.cc compares the two. Scratch tables are dropped
-// before returning.
+// scan + hash join + aggregate pipeline over column batches;
+// bench/bench_analytics.cc times the three and checks them against
+// reference implementations. Scratch tables are dropped before returning.
 //
 // Declared in src/graph for discoverability next to the generators, but
 // compiled into sqlgraph_core (like wal/durability.cc) because it needs the
@@ -31,8 +29,6 @@ class SqlGraphStore;
 namespace graph {
 
 struct AnalyticsOptions {
-  /// Executor mode for every SQL statement the algorithms issue.
-  bool vectorized = true;
   /// PageRank iteration cap (WCC and triangles iterate to fixpoint).
   int max_iterations = 20;
   double damping = 0.85;
@@ -62,13 +58,11 @@ util::Result<PageRankResult> PageRank(core::SqlGraphStore* store,
                                       const AnalyticsOptions& options = {});
 
 /// Min-label propagation over the undirected edge set until fixpoint.
-util::Result<WccResult> WeaklyConnectedComponents(
-    core::SqlGraphStore* store, const AnalyticsOptions& options = {});
+util::Result<WccResult> WeaklyConnectedComponents(core::SqlGraphStore* store);
 
 /// Counts undirected triangles via a canonical (SRC < DST) edge table
 /// self-joined three ways; every triangle matches exactly once.
-util::Result<int64_t> TriangleCount(core::SqlGraphStore* store,
-                                    const AnalyticsOptions& options = {});
+util::Result<int64_t> TriangleCount(core::SqlGraphStore* store);
 
 }  // namespace graph
 }  // namespace sqlgraph

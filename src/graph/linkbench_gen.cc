@@ -1,5 +1,8 @@
 #include "graph/linkbench_gen.h"
 
+#include <string>
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace sqlgraph {
@@ -61,19 +64,29 @@ PropertyGraph GenerateLinkBenchGraph(const LinkBenchConfig& config) {
   const size_t total_edges =
       static_cast<size_t>(config.avg_degree * config.num_objects);
   const size_t base_edges = total_edges * 6 / 10;
-  size_t added = 0;
+  // Draws a link (src, dst)'s attributes, then its type — the order this
+  // generator has always drawn them in — and adds it unless src already
+  // has a link of that type to dst: LinkBench keys a link by (id1, link
+  // type, id2). A repeat takes the same random numbers as a new link, so
+  // the graph is the one earlier versions drew, minus the repeats.
+  auto add_link = [&](VertexId src, VertexId dst) {
+    json::JsonValue attrs = AssocAttrs(config, &rng);
+    std::string type = AssocType(rng.Uniform(config.num_assoc_types));
+    for (EdgeId id : graph.OutEdges(src)) {
+      const Edge& e = graph.edge(id);
+      if (e.dst == dst && e.label == type) return;
+    }
+    // AddEdge fails only for an endpoint outside the graph, which both ids
+    // here are not; the status has nothing to report.
+    (void)graph.AddEdge(src, dst, std::move(type), std::move(attrs));
+  };
+  size_t added = 0;  // draws, including skipped repeats
   for (size_t i = 0; i < config.num_objects && added < base_edges; ++i) {
     const size_t degree = 1 + rng.Uniform(
         static_cast<uint64_t>(config.avg_degree) + 1);
     for (size_t e = 0; e < degree && added < base_edges; ++e) {
       const VertexId dst = static_cast<VertexId>(dst_zipf.Sample(&rng));
-      auto st = graph.AddEdge(static_cast<VertexId>(i), dst,
-                              AssocType(rng.Uniform(config.num_assoc_types)),
-                              AssocAttrs(config, &rng));
-      // PropertyGraph::AddEdge keeps a duplicate (src, type, dst) pick as
-      // a parallel edge and fails only for an endpoint outside the graph,
-      // which both ids here are not; the status has nothing to report.
-      (void)st;
+      add_link(static_cast<VertexId>(i), dst);
       ++added;
     }
   }
@@ -81,10 +94,7 @@ PropertyGraph GenerateLinkBenchGraph(const LinkBenchConfig& config) {
   while (added < total_edges) {
     const VertexId src = static_cast<VertexId>(src_zipf.Sample(&rng));
     const VertexId dst = static_cast<VertexId>(dst_zipf.Sample(&rng));
-    auto st = graph.AddEdge(src, dst,
-                            AssocType(rng.Uniform(config.num_assoc_types)),
-                            AssocAttrs(config, &rng));
-    (void)st;
+    add_link(src, dst);
     ++added;
   }
   return graph;

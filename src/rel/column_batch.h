@@ -1,4 +1,5 @@
-// Columnar batches for the vectorized executor.
+// Columnar batches: the working set every SQL executor operator takes and
+// returns.
 //
 // A ColumnBatch is the batch-at-a-time counterpart of std::vector<Row>: one
 // ColumnVector per combined-row slot, all the same length. Each column keeps
@@ -105,8 +106,8 @@ struct ColumnBatch {
   void Reserve(size_t n);
 
   void AppendRow(const Row& row);
-  /// Appends `full` through a column projection (empty = identity), the
-  /// batched counterpart of Relation::Project — no intermediate Row.
+  /// Appends `full` through a column projection (empty = identity): the
+  /// executor's projection pushdown, with no intermediate Row.
   void AppendProjected(const Row& full, const std::vector<int>& projection);
   /// Appends row `i` of `src` column by column.
   void AppendRowFrom(const ColumnBatch& src, size_t i);

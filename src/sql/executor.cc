@@ -50,47 +50,13 @@ const rel::Index* FindIndexByName(const rel::Table& table,
 
 namespace {
 
-/// The inter-operator working set: either row-major rows (the row-at-a-time
-/// operators) or a ColumnBatch (the vectorized ones). With
-/// Options::vectorized a batch enters the pipeline at the first FROM item —
-/// base table, CTE or subquery — and stays a batch through joins, lateral
-/// VALUES unnests, projection, DISTINCT and UNION ALL. Operators without a
-/// batched implementation (sorts, non-indexed outer joins, JSON_EDGES,
-/// recursive CTEs, INTERSECT/EXCEPT) collapse it to rows and continue
-/// row-at-a-time from there.
-struct WorkingSet {
-  std::vector<Row> rows;
-  ColumnBatch batch;
-  bool is_batch = false;
-
-  size_t size() const { return is_batch ? batch.num_rows : rows.size(); }
-
-  void SetBatch(ColumnBatch b) {
-    batch = std::move(b);
-    is_batch = true;
-    rows.clear();
-  }
-
-  /// Collapses to row mode (no-op when already there); every collapse
-  /// counts in `*collapses` (ExecStats::batch_collapses).
-  std::vector<Row>* MutableRows(uint64_t* collapses) {
-    if (is_batch) {
-      ++*collapses;
-      rows = batch.ToRows();
-      batch = ColumnBatch();
-      is_batch = false;
-    }
-    return &rows;
-  }
-};
-
 /// A select's result before it leaves the executor: the output column names
-/// plus the rows or batch that produced them. CTEs, subqueries and
-/// set-operation operands stay in this form; only the final SELECT becomes
-/// a ResultSet.
+/// plus the batch holding its rows (one column per name). CTEs, subqueries
+/// and set-operation operands stay in this form; only the final SELECT
+/// becomes a ResultSet.
 struct Materialized {
   std::vector<std::string> columns;
-  WorkingSet ws;
+  ColumnBatch batch;
 };
 
 /// A resolved FROM item: either an indexable base table or a materialized
@@ -101,21 +67,12 @@ struct Relation {
   const Materialized* borrowed = nullptr;
   std::shared_ptr<Materialized> owned;
   // Column pruning (projection pushdown): when non-empty, only these
-  // base-table column indexes are carried into join rows. Wide tables like
+  // base-table column indexes are carried into the batch. Wide tables like
   // OPA (3 columns per triad) shrink to the handful of referenced columns.
   std::vector<int> projection;
 
   const Materialized* materialized() const {
     return borrowed != nullptr ? borrowed : owned.get();
-  }
-
-  /// Applies the projection to a freshly fetched base-table row.
-  Row Project(const Row& full) const {
-    if (projection.empty()) return full;
-    Row out;
-    out.reserve(projection.size());
-    for (int c : projection) out.push_back(full[static_cast<size_t>(c)]);
-    return out;
   }
 };
 
@@ -174,6 +131,36 @@ void DedupeBatch(ColumnBatch* batch) {
   if (keep.size() != batch->num_rows) batch->KeepOnly(keep);
 }
 
+/// INTERSECT / EXCEPT: keeps the first occurrence of every distinct row of
+/// `*left` that does (INTERSECT) or does not (EXCEPT) occur in `right`. The
+/// membership tests hash whole rows, one at a time.
+void IntersectOrExcept(bool keep_common, const ColumnBatch& right,
+                       ColumnBatch* left) {
+  std::unordered_set<Row, RowHash, RowEq> right_rows, emitted;
+  right_rows.reserve(right.num_rows);
+  for (size_t i = 0; i < right.num_rows; ++i) {
+    right_rows.insert(right.GetRow(i));
+  }
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < left->num_rows; ++i) {
+    Row r = left->GetRow(i);
+    if ((right_rows.count(r) > 0) == keep_common &&
+        emitted.insert(std::move(r)).second) {
+      keep.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  if (keep.size() != left->num_rows) left->KeepOnly(keep);
+}
+
+/// UNION ALL: appends `src` to `*dst` column by column.
+void AppendBatch(ColumnBatch src, ColumnBatch* dst) {
+  if (dst->num_rows == 0) {
+    *dst = std::move(src);
+  } else {
+    dst->Append(src);
+  }
+}
+
 /// The columns of `*batch` gathered by `sel`; when `sel` is the identity
 /// (every row once, in order) they are moved out instead of copied.
 std::vector<ColumnVector> TakeRows(ColumnBatch* batch,
@@ -185,6 +172,113 @@ std::vector<ColumnVector> TakeRows(ColumnBatch* batch,
   out.reserve(batch->num_cols());
   for (const auto& c : batch->cols) out.push_back(c.Gather(sel));
   return out;
+}
+
+/// Joined pairs (left_sel[j], right_sel[j]) as one batch: the probe side's
+/// columns, then the build side's.
+ColumnBatch JoinPairs(ColumnBatch* left, const std::vector<uint32_t>& left_sel,
+                      const ColumnBatch& right,
+                      const std::vector<uint32_t>& right_sel) {
+  ColumnBatch out;
+  out.num_rows = left_sel.size();
+  out.cols = TakeRows(left, left_sel);
+  for (const auto& c : right.cols) out.cols.push_back(c.Gather(right_sel));
+  return out;
+}
+
+/// Every (i, j) pair of an n × m cross product, i-major.
+void CrossPairs(size_t n, size_t m, std::vector<uint32_t>* left_sel,
+                std::vector<uint32_t>* right_sel) {
+  left_sel->reserve(n * m);
+  right_sel->reserve(n * m);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      left_sel->push_back(static_cast<uint32_t>(i));
+      right_sel->push_back(static_cast<uint32_t>(j));
+    }
+  }
+}
+
+/// The hash build/probe shared by the inner and the left-outer hash joins:
+/// hashes `build`'s key columns, probes with `probe_cols` row by row and
+/// appends each matching (probe row, build row) pair to `*left_sel` /
+/// `*right_sel`, in probe order. NULL keys never match. A single int64 key
+/// on both sides (the adjacency self-join shape: EA.INV = r.VID) skips
+/// rel::Value boxing and hashes raw int64s.
+void HashMatch(const ColumnBatch& build, const std::vector<int>& build_slots,
+               const std::vector<ColumnVector>& probe_cols, size_t n,
+               std::vector<uint32_t>* left_sel,
+               std::vector<uint32_t>* right_sel) {
+  const ColumnVector& bc0 = build.cols[static_cast<size_t>(build_slots[0])];
+  const bool int64_key = build_slots.size() == 1 && bc0.typed() &&
+                         bc0.tag() == ColumnVector::Tag::kInt64 &&
+                         probe_cols[0].typed() &&
+                         probe_cols[0].tag() == ColumnVector::Tag::kInt64;
+  if (int64_key) {
+    const ColumnVector& pc = probe_cols[0];
+    std::unordered_multimap<int64_t, uint32_t> hash_table;
+    hash_table.reserve(build.num_rows);
+    for (size_t j = 0; j < build.num_rows; ++j) {
+      if (!bc0.IsNull(j)) {
+        hash_table.emplace(bc0.IntAt(j), static_cast<uint32_t>(j));
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (pc.IsNull(i)) continue;
+      auto [lo, hi] = hash_table.equal_range(pc.IntAt(i));
+      for (auto it = lo; it != hi; ++it) {
+        left_sel->push_back(static_cast<uint32_t>(i));
+        right_sel->push_back(it->second);
+      }
+    }
+    return;
+  }
+  std::unordered_multimap<rel::IndexKey, uint32_t, rel::IndexKeyHash>
+      hash_table;
+  hash_table.reserve(build.num_rows);
+  // Fills `key` from row `i` of `cols`; false when a part is NULL.
+  rel::IndexKey key;
+  key.parts.reserve(build_slots.size());
+  auto fill = [&key](const std::vector<const ColumnVector*>& cols, size_t i) {
+    key.parts.clear();
+    bool null_key = false;
+    for (const ColumnVector* col : cols) {
+      Value v = col->GetValue(i);
+      if (v.is_null()) null_key = true;
+      key.parts.push_back(std::move(v));
+    }
+    return !null_key;
+  };
+  std::vector<const ColumnVector*> build_cols, probe_ptrs;
+  for (int slot : build_slots) {
+    build_cols.push_back(&build.cols[static_cast<size_t>(slot)]);
+  }
+  for (const auto& col : probe_cols) probe_ptrs.push_back(&col);
+  for (size_t j = 0; j < build.num_rows; ++j) {
+    if (fill(build_cols, j)) hash_table.emplace(key, static_cast<uint32_t>(j));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!fill(probe_ptrs, i)) continue;
+    auto [lo, hi] = hash_table.equal_range(key);
+    for (auto it = lo; it != hi; ++it) {
+      left_sel->push_back(static_cast<uint32_t>(i));
+      right_sel->push_back(it->second);
+    }
+  }
+}
+
+/// Slots of the equi-join key columns within the joined ref's columns.
+Result<std::vector<int>> BuildSlots(const std::vector<EquiJoinKey>& keys,
+                                    const std::vector<std::string>& columns) {
+  std::vector<int> slots;
+  for (const auto& key : keys) {
+    auto it = std::find(columns.begin(), columns.end(), key.column);
+    if (it == columns.end()) {
+      return Status::Internal("join key column missing");
+    }
+    slots.push_back(static_cast<int>(it - columns.begin()));
+  }
+  return slots;
 }
 
 /// Collects which columns of `alias` the statement references anywhere
@@ -361,7 +455,7 @@ class Executor::Impl {
       if (cte.recursive) {
         obs::ScopedSpan span(spans_, context_, "recursive cte");
         RETURN_NOT_OK(ExecRecursiveCte(cte));
-        span.set_rows(ctes_[cte.name].ws.size());
+        span.set_rows(ctes_[cte.name].batch.num_rows);
       } else {
         ASSIGN_OR_RETURN(Materialized res, ExecSelect(*cte.select));
         RETURN_NOT_OK(ApplyCteAliases(cte, &res));
@@ -369,12 +463,10 @@ class Executor::Impl {
       }
     }
     context_ = "final";
-    ASSIGN_OR_RETURN(Materialized out,
-                     ExecSelect(*q.final_select, /*final=*/true));
     ResultSet result;
+    ASSIGN_OR_RETURN(Materialized out,
+                     ExecSelect(*q.final_select, &result.rows));
     result.columns = std::move(out.columns);
-    result.rows =
-        out.ws.is_batch ? out.ws.batch.ToRows() : std::move(out.ws.rows);
     return result;
   }
 
@@ -391,22 +483,9 @@ class Executor::Impl {
     return Status::OK();
   }
 
-  /// Row-only consumers of a materialized select: a copy of its rows,
-  /// collapsed from its batch if need be (counted like
-  /// WorkingSet::MutableRows).
-  std::vector<Row> CopyRows(const Materialized& m) {
-    if (!m.ws.is_batch) return m.ws.rows;
-    ++stats_->batch_collapses;
-    return m.ws.batch.ToRows();
-  }
-
-  /// Batched consumers of a materialized select: a copy of its batch, or
-  /// its rows converted (a row-to-batch conversion is no collapse).
-  static ColumnBatch BatchOf(const Materialized& m) {
-    if (m.ws.is_batch) return m.ws.batch;
-    return ColumnBatch::FromRows(m.ws.rows, m.columns.size());
-  }
-
+  /// Semi-naive fixpoint: each iteration runs the step over the previous
+  /// iteration's new rows; a hash of every row seen so far keeps only rows
+  /// never produced before (UNION semantics across iterations).
   Status ExecRecursiveCte(const Cte& cte) {
     const SelectStmt& whole = *cte.select;
     if (whole.set_ops.size() != 1) {
@@ -426,30 +505,38 @@ class Executor::Impl {
     if (!base_result.ok()) return base_result.status();
     Materialized total = std::move(base_result).value();
     RETURN_NOT_OK(ApplyCteAliases(cte, &total));
-    std::vector<Row>& total_rows =
-        *total.ws.MutableRows(&stats_->batch_collapses);
-    std::unordered_set<Row, RowHash, RowEq> seen(total_rows.begin(),
-                                                 total_rows.end());
+    std::unordered_set<Row, RowHash, RowEq> seen;
+    seen.reserve(total.batch.num_rows);
+    for (size_t i = 0; i < total.batch.num_rows; ++i) {
+      seen.insert(total.batch.GetRow(i));
+    }
     Materialized delta = total;
     int iter = 0;
-    while (!delta.ws.rows.empty()) {
+    while (delta.batch.num_rows != 0) {
       if (++iter > options_.max_recursion) {
         return Status::OutOfRange("recursive CTE " + cte.name + " exceeded " +
                                   std::to_string(options_.max_recursion) +
                                   " iterations");
       }
       ++stats_->recursive_iterations;
-      ctes_[cte.name] = delta;  // bind the working table
+      ctes_[cte.name] = std::move(delta);  // bind the working table
       ASSIGN_OR_RETURN(Materialized produced, ExecSelect(step));
-      Materialized next;
-      next.columns = delta.columns;
-      for (auto& row : *produced.ws.MutableRows(&stats_->batch_collapses)) {
-        if (seen.insert(row).second) {
-          total_rows.push_back(row);
-          next.ws.rows.push_back(std::move(row));
+      if (produced.columns.size() != total.columns.size()) {
+        return Status::InvalidArgument("recursive CTE " + cte.name +
+                                       " step arity does not match its base");
+      }
+      std::vector<uint32_t> fresh;
+      for (size_t i = 0; i < produced.batch.num_rows; ++i) {
+        if (seen.insert(produced.batch.GetRow(i)).second) {
+          fresh.push_back(static_cast<uint32_t>(i));
         }
       }
-      delta = std::move(next);
+      if (fresh.size() != produced.batch.num_rows) {
+        produced.batch.KeepOnly(fresh);
+      }
+      delta.columns = total.columns;
+      delta.batch = std::move(produced.batch);
+      AppendBatch(delta.batch, &total.batch);
     }
     ctes_[cte.name] = std::move(total);
     return Status::OK();
@@ -457,16 +544,19 @@ class Executor::Impl {
 
   // ----------------------------------------------------------- SELECT ----
 
-  /// `final` marks the statement's own select, whose result leaves as a
-  /// ResultSet: without set operations it projects straight into rows.
-  Result<Materialized> ExecSelect(const SelectStmt& s, bool final = false) {
+  /// `rows_out` marks the statement's own select: its result rows land in
+  /// `*rows_out` and the returned Materialized carries only the column
+  /// names.
+  Result<Materialized> ExecSelect(const SelectStmt& s,
+                                  std::vector<Row>* rows_out = nullptr) {
     // With set operations, ORDER BY / LIMIT bind to the combined result and
     // may only reference output columns; otherwise the core handles them
     // with full input-scope resolution.
     const bool defer_order_limit = !s.set_ops.empty();
     ASSIGN_OR_RETURN(Materialized out,
                      ExecSelectCore(s, defer_order_limit,
-                                    /*rows_out=*/final && s.set_ops.empty()));
+                                    defer_order_limit ? nullptr : rows_out));
+    if (!defer_order_limit) return out;
     for (const auto& set_op : s.set_ops) {
       ASSIGN_OR_RETURN(Materialized rhs, ExecSelect(*set_op.rhs));
       if (rhs.columns.size() != out.columns.size()) {
@@ -474,103 +564,57 @@ class Executor::Impl {
       }
       switch (set_op.kind) {
         case SetOpKind::kUnionAll:
-          UnionAll(out.columns.size(), std::move(rhs.ws), &out.ws);
+          AppendBatch(std::move(rhs.batch), &out.batch);
           break;
         case SetOpKind::kUnion:
           // First occurrences across both sides, in order.
-          UnionAll(out.columns.size(), std::move(rhs.ws), &out.ws);
-          Dedupe(&out.ws);
+          AppendBatch(std::move(rhs.batch), &out.batch);
+          DedupeBatch(&out.batch);
           break;
         case SetOpKind::kIntersect:
-        case SetOpKind::kExcept: {
-          const bool keep_common = set_op.kind == SetOpKind::kIntersect;
-          std::vector<Row>& left =
-              *out.ws.MutableRows(&stats_->batch_collapses);
-          const std::vector<Row>& right_rows =
-              *rhs.ws.MutableRows(&stats_->batch_collapses);
-          std::unordered_set<Row, RowHash, RowEq> right(right_rows.begin(),
-                                                        right_rows.end());
-          std::vector<Row> merged;
-          std::unordered_set<Row, RowHash, RowEq> emitted;
-          for (auto& r : left) {
-            if ((right.count(r) > 0) == keep_common &&
-                emitted.insert(r).second) {
-              merged.push_back(std::move(r));
-            }
-          }
-          left = std::move(merged);
+        case SetOpKind::kExcept:
+          IntersectOrExcept(set_op.kind == SetOpKind::kIntersect, rhs.batch,
+                            &out.batch);
           break;
-        }
       }
     }
-    if (defer_order_limit) RETURN_NOT_OK(ApplyOrderLimit(s, &out));
+    RETURN_NOT_OK(ApplyOrderLimit(s, &out));
+    return EmitRows(std::move(out), rows_out);
+  }
+
+  /// Hands a final select's batch over as rows.
+  static Materialized EmitRows(Materialized out, std::vector<Row>* rows_out) {
+    if (rows_out != nullptr) {
+      *rows_out = out.batch.ToRows();
+      out.batch = ColumnBatch();
+    }
     return out;
   }
 
-  /// UNION ALL: appends `src` to `*dst`. Two batches concatenate column by
-  /// column; a row side joining a batch converts to a batch (no collapse).
-  static void UnionAll(size_t width, WorkingSet src, WorkingSet* dst) {
-    if (dst->is_batch || src.is_batch) {
-      ColumnBatch tail = src.is_batch
-                             ? std::move(src.batch)
-                             : ColumnBatch::FromRows(src.rows, width);
-      if (!dst->is_batch) {
-        dst->SetBatch(ColumnBatch::FromRows(dst->rows, width));
-      }
-      if (dst->batch.num_rows == 0) {
-        dst->batch = std::move(tail);
-      } else {
-        dst->batch.Append(tail);
-      }
-      return;
-    }
-    for (auto& r : src.rows) dst->rows.push_back(std::move(r));
-  }
-
+  /// ORDER BY / OFFSET / LIMIT over a select's output columns.
   Status ApplyOrderLimit(const SelectStmt& s, Materialized* out) {
     if (!s.order_by.empty()) {
       obs::ScopedSpan span(spans_, context_, "sort (output)");
-      std::vector<Row>& rows = *out->ws.MutableRows(&stats_->batch_collapses);
-      span.set_rows(rows.size());
+      span.set_rows(out->batch.num_rows);
       ColumnEnv env;
       for (const auto& c : out->columns) env.Add("", c);
-      // Precompute sort keys.
-      std::vector<std::pair<std::vector<Value>, size_t>> keyed;
-      keyed.reserve(rows.size());
+      std::vector<ExprPtr> keys;
+      for (const auto& item : s.order_by) keys.push_back(item.expr);
       EvalContext ctx;
       ctx.params = params_;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::vector<Value> key;
-        key.reserve(s.order_by.size());
-        for (const auto& item : s.order_by) {
-          ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, env, rows[i], ctx));
-          key.push_back(std::move(v));
-        }
-        keyed.emplace_back(std::move(key), i);
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [&](const auto& a, const auto& b) {
-                         for (size_t k = 0; k < s.order_by.size(); ++k) {
-                           int c = a.first[k].Compare(b.first[k]);
-                           if (!s.order_by[k].ascending) c = -c;
-                           if (c != 0) return c < 0;
-                         }
-                         return false;
-                       });
-      std::vector<Row> sorted;
-      sorted.reserve(rows.size());
-      for (const auto& [key, idx] : keyed) {
-        sorted.push_back(std::move(rows[idx]));
-      }
-      rows = std::move(sorted);
+      RETURN_NOT_OK(SortBatch(s.order_by, keys, env, ctx, &out->batch));
     }
-    ApplyLimitOffset(s, &out->ws);
+    ApplyLimitOffset(s, &out->batch);
     return Status::OK();
   }
 
-  /// OFFSET then LIMIT, on rows or on a batch.
-  static void ApplyLimitOffset(const SelectStmt& s, WorkingSet* ws) {
-    const size_t n = ws->size();
+  static bool HasLimitOrOffset(const SelectStmt& s) {
+    return s.limit.has_value() || s.offset.has_value();
+  }
+
+  /// OFFSET then LIMIT.
+  static void ApplyLimitOffset(const SelectStmt& s, ColumnBatch* batch) {
+    const size_t n = batch->num_rows;
     const int64_t skip = s.offset.value_or(0);
     const size_t offset = skip > 0 ? std::min(n, static_cast<size_t>(skip)) : 0;
     size_t end = n;
@@ -578,27 +622,47 @@ class Executor::Impl {
       end = std::min(end, offset + static_cast<size_t>(*s.limit));
     }
     if (offset == 0 && end == n) return;
-    if (ws->is_batch) {
-      std::vector<uint32_t> sel;
-      sel.reserve(end - offset);
-      for (size_t i = offset; i < end; ++i) {
-        sel.push_back(static_cast<uint32_t>(i));
-      }
-      ws->batch.KeepOnly(sel);
-      return;
-    }
-    ws->rows.resize(end);
-    ws->rows.erase(ws->rows.begin(),
-                   ws->rows.begin() + static_cast<std::ptrdiff_t>(offset));
+    std::vector<uint32_t> sel;
+    sel.reserve(end - offset);
+    for (size_t i = offset; i < end; ++i) sel.push_back(static_cast<uint32_t>(i));
+    batch->KeepOnly(sel);
   }
 
-  /// Sorts the pre-projection rows by the ORDER BY expressions. Bare column
-  /// references that name a select alias are substituted by the aliased
-  /// expression (SQL's output-column ORDER BY), everything else resolves in
-  /// the FROM scope.
-  Status SortInputRows(const SelectStmt& s, const ColumnEnv& env,
-                       const EvalContext& ctx, std::vector<Row>* rows) {
-    std::vector<ExprPtr> order_exprs;
+  /// Stable sort of `*batch` by `keys`, ascending or descending per
+  /// `order_by`: each key column evaluates once over the batch, a row
+  /// permutation is sorted, and the batch is gathered once.
+  static Status SortBatch(const std::vector<OrderItem>& order_by,
+                          const std::vector<ExprPtr>& keys,
+                          const ColumnEnv& env, const EvalContext& ctx,
+                          ColumnBatch* batch) {
+    const size_t n = batch->num_rows;
+    std::vector<std::vector<Value>> key_values(keys.size());  // [key][row]
+    for (size_t k = 0; k < keys.size(); ++k) {
+      ASSIGN_OR_RETURN(ColumnVector col,
+                       EvalExprBatch(*keys[k], env, *batch, ctx));
+      key_values[k].reserve(n);
+      for (size_t i = 0; i < n; ++i) key_values[k].push_back(col.GetValue(i));
+    }
+    std::vector<uint32_t> perm(n);
+    for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        int c = key_values[k][a].Compare(key_values[k][b]);
+        if (!order_by[k].ascending) c = -c;
+        if (c != 0) return c < 0;
+      }
+      return false;
+    });
+    batch->KeepOnly(perm);
+    return Status::OK();
+  }
+
+  /// ORDER BY before projection: bare column references that name a select
+  /// alias are substituted by the aliased expression (SQL's output-column
+  /// ORDER BY), everything else resolves in the FROM scope.
+  static Status SortInput(const SelectStmt& s, const ColumnEnv& env,
+                          const EvalContext& ctx, ColumnBatch* batch) {
+    std::vector<ExprPtr> keys;
     for (const auto& item : s.order_by) {
       ExprPtr e = item.expr;
       if (e->kind == ExprKind::kColumnRef && e->qualifier.empty() &&
@@ -610,47 +674,25 @@ class Executor::Impl {
           }
         }
       }
-      order_exprs.push_back(std::move(e));
+      keys.push_back(std::move(e));
     }
-    std::vector<std::pair<std::vector<Value>, size_t>> keyed;
-    keyed.reserve(rows->size());
-    for (size_t i = 0; i < rows->size(); ++i) {
-      std::vector<Value> key;
-      key.reserve(order_exprs.size());
-      for (const auto& e : order_exprs) {
-        ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env, (*rows)[i], ctx));
-        key.push_back(std::move(v));
-      }
-      keyed.emplace_back(std::move(key), i);
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (size_t k = 0; k < s.order_by.size(); ++k) {
-                         int c = a.first[k].Compare(b.first[k]);
-                         if (!s.order_by[k].ascending) c = -c;
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
-    std::vector<Row> sorted;
-    sorted.reserve(rows->size());
-    for (const auto& [key, idx] : keyed) sorted.push_back(std::move((*rows)[idx]));
-    *rows = std::move(sorted);
-    return Status::OK();
+    return SortBatch(s.order_by, keys, env, ctx, batch);
   }
 
   // Core select: FROM/WHERE/aggregate/DISTINCT/projection, plus ORDER BY /
-  // LIMIT unless deferred to the set-operation combiner.
+  // LIMIT unless deferred to the set-operation combiner. With `rows_out`
+  // the result rows land there (see ExecSelect).
   Result<Materialized> ExecSelectCore(const SelectStmt& s,
-                                      bool defer_order_limit, bool rows_out) {
+                                      bool defer_order_limit,
+                                      std::vector<Row>* rows_out) {
     EvalContext ctx;
     ctx.params = params_;
     RETURN_NOT_OK(MaterializeInSubqueries(s, &ctx));
 
     ColumnEnv env;
-    WorkingSet ws;
+    ColumnBatch ws;
     if (s.from.empty()) {
-      ws.rows.emplace_back();  // one empty row: SELECT 1
+      ws.num_rows = 1;  // one empty row: SELECT 1
     } else {
       std::vector<ExprPtr> conjuncts;
       SplitConjuncts(s.where, &conjuncts);
@@ -669,7 +711,7 @@ class Executor::Impl {
           return Status::InvalidArgument("unresolvable predicate: " +
                                          RenderExpr(*conjuncts[i]));
         }
-        RETURN_NOT_OK(FilterWorkingSet(*conjuncts[i], env, ctx, &ws));
+        RETURN_NOT_OK(FilterBatch(*conjuncts[i], env, ctx, &ws));
         consumed[i] = true;
       }
     }
@@ -679,29 +721,37 @@ class Executor::Impl {
     for (const auto& item : s.items) {
       if (!item.is_star && ContainsAggregate(item.expr)) has_aggregate = true;
     }
+    Materialized out;
     if (has_aggregate) {
       obs::ScopedSpan span(spans_, context_, "aggregate");
       ASSIGN_OR_RETURN(ResultSet agg, Aggregate(s, env, ws, ctx));
       span.set_rows(agg.rows.size());
       span.Finish();
-      Materialized out;
       out.columns = std::move(agg.columns);
-      out.ws.rows = std::move(agg.rows);
+      if (rows_out != nullptr && s.order_by.empty() && !HasLimitOrOffset(s)) {
+        // The final select's groups leave as rows, never as a batch.
+        *rows_out = std::move(agg.rows);
+        return out;
+      }
+      out.batch = ColumnBatch::FromRows(agg.rows, out.columns.size());
       if (!defer_order_limit) RETURN_NOT_OK(ApplyOrderLimit(s, &out));
-      return out;
+      return EmitRows(std::move(out), rows_out);
     }
 
     if (!defer_order_limit && !s.order_by.empty()) {
       obs::ScopedSpan span(spans_, context_, "sort");
-      RETURN_NOT_OK(SortInputRows(
-          s, env, ctx, ws.MutableRows(&stats_->batch_collapses)));
-      span.set_rows(ws.rows.size());
+      RETURN_NOT_OK(SortInput(s, env, ctx, &ws));
+      span.set_rows(ws.num_rows);
     }
-    Materialized out;
-    RETURN_NOT_OK(Project(s, env, ctx, rows_out, &ws, &out));
-    if (s.distinct) Dedupe(&out.ws);
-    if (!defer_order_limit) ApplyLimitOffset(s, &out.ws);
-    return out;
+    if (rows_out != nullptr && !s.distinct && !HasLimitOrOffset(s)) {
+      // The final select projects straight into rows.
+      RETURN_NOT_OK(Project(s, env, ctx, rows_out, &ws, &out));
+      return out;
+    }
+    RETURN_NOT_OK(Project(s, env, ctx, nullptr, &ws, &out));
+    if (s.distinct) DedupeBatch(&out.batch);
+    if (!defer_order_limit) ApplyLimitOffset(s, &out.batch);
+    return EmitRows(std::move(out), rows_out);
   }
 
   // ------------------------------------------------------ join drivers ----
@@ -709,7 +759,7 @@ class Executor::Impl {
   Status JoinNextRef(const SelectStmt& s, const TableRef& ref, bool first,
                      const std::vector<ExprPtr>& conjuncts,
                      std::vector<bool>* consumed, ColumnEnv* env,
-                     WorkingSet* ws, EvalContext* ctx) {
+                     ColumnBatch* ws, EvalContext* ctx) {
     ASSIGN_OR_RETURN(Relation relation, ResolveRef(ref));
     const std::string& alias = ref.exposure();
     if (relation.base != nullptr) {
@@ -765,7 +815,7 @@ class Executor::Impl {
       // WHERE-clause conjuncts on the nullable side apply after the join.
       if (st.ok()) {
         for (size_t k = 0; k < applicable.size(); ++k) {
-          st = FilterWorkingSet(*applicable[k], next_env, *ctx, ws);
+          st = FilterBatch(*applicable[k], next_env, *ctx, ws);
           if (!st.ok()) break;
           (*consumed)[applicable_ids[k]] = true;
         }
@@ -776,17 +826,16 @@ class Executor::Impl {
 
     if (ref.kind == TableRefKind::kUnnestValues ||
         ref.kind == TableRefKind::kUnnestJson) {
+      if (const Expr* e = FindUnboundLateralExpr(ref, *env, next_env)) {
+        return Status::InvalidArgument(
+            "lateral " + alias + " reads a column not bound before it: " +
+            RenderExpr(*e));
+      }
       // Filters fuse into the lateral expansion: candidate rows that fail
       // (e.g. the templates' t.val IS NOT NULL) are never materialized.
-      if (ref.kind == TableRefKind::kUnnestJson) {
-        st = UnnestJson(ref, next_env, applicable,
-                        ws->MutableRows(&stats_->batch_collapses), ctx);
-      } else if (ws->is_batch && ValuesBoundBy(ref, *env, next_env)) {
-        st = UnnestValuesBatched(ref, *env, next_env, applicable, *ctx, ws);
-      } else {
-        st = UnnestValues(ref, next_env, applicable,
-                          ws->MutableRows(&stats_->batch_collapses), ctx);
-      }
+      st = ref.kind == TableRefKind::kUnnestJson
+               ? UnnestJson(ref, *env, next_env, applicable, *ctx, ws)
+               : UnnestValues(ref, *env, next_env, applicable, *ctx, ws);
       if (!st.ok()) return st;
       for (size_t k = 0; k < applicable.size(); ++k) {
         (*consumed)[applicable_ids[k]] = true;
@@ -804,23 +853,6 @@ class Executor::Impl {
       if (st.ok()) *env = std::move(next_env);
       return st;
     }
-  }
-
-  /// True when every VALUES expression reads only columns already joined
-  /// (`env`), so it can be evaluated once per vector of input rows. The
-  /// expressions must also resolve in `next_env`, the scope the row path
-  /// evaluates them in: a bare name that `t`'s own columns make ambiguous
-  /// takes the row path and fails there as it does in row mode.
-  static bool ValuesBoundBy(const TableRef& ref, const ColumnEnv& env,
-                            const ColumnEnv& next_env) {
-    for (const auto& values_row : ref.values_rows) {
-      for (const auto& e : values_row) {
-        if (!IsFullyBound(*e, env) || !IsFullyBound(*e, next_env)) {
-          return false;
-        }
-      }
-    }
-    return true;
   }
 
   Result<Relation> ResolveRef(const TableRef& ref) {
@@ -846,18 +878,10 @@ class Executor::Impl {
           // fast path (indexes, batched scans) off this relation.
           auto snap = std::make_shared<Materialized>();
           snap->columns = relation.columns;
-          if (options_.vectorized) {
-            snap->ws.SetBatch(ColumnBatch());
-            snap->ws.batch.Reset(relation.columns.size());
-            table->ScanAt(options_.read_ts, [&](const Row& row) {
-              snap->ws.batch.AppendRow(row);
-            });
-          } else {
-            table->ScanAt(options_.read_ts, [&](const Row& row) {
-              snap->ws.rows.push_back(row);
-            });
-          }
-          stats_->rows_scanned += snap->ws.size();
+          snap->batch.Reset(relation.columns.size());
+          table->ScanAt(options_.read_ts,
+                        [&](const Row& row) { snap->batch.AppendRow(row); });
+          stats_->rows_scanned += snap->batch.num_rows;
           relation.owned = std::move(snap);
           return relation;
         }
@@ -878,72 +902,19 @@ class Executor::Impl {
     return Status::Internal("bad table ref kind");
   }
 
-  /// Lateral TABLE(VALUES ...) expansion: every VALUES row is evaluated in
-  /// the scope of each current row; fused filters drop candidates before
-  /// they are materialized.
-  Status UnnestValues(const TableRef& ref, const ColumnEnv& next_env,
+  /// Lateral TABLE(VALUES ...) expansion. Each tuple expression is evaluated
+  /// once per batch (a bare column reference borrows the input column), and
+  /// the candidates are laid out (input row, tuple) major. Set-up is per
+  /// tuple expression, not per input column.
+  Status UnnestValues(const TableRef& ref, const ColumnEnv& env,
+                      const ColumnEnv& next_env,
                       const std::vector<ExprPtr>& filters,
-                      std::vector<Row>* rows, EvalContext* ctx) {
+                      const EvalContext& ctx, ColumnBatch* ws) {
     obs::ScopedSpan span(spans_, context_, "unnest values " + ref.exposure());
-    std::vector<Row> out;
-    const size_t arity = ref.column_aliases.size();
-    Row scratch;
-    for (const Row& current : *rows) {
-      // One reusable scratch row per input row; the tail slots are
-      // overwritten for every VALUES candidate.
-      scratch.assign(current.begin(), current.end());
-      scratch.resize(next_env.size());
-      for (const auto& values_row : ref.values_rows) {
-        if (values_row.size() != arity) {
-          return Status::InvalidArgument("VALUES row arity mismatch");
-        }
-        for (size_t c = 0; c < arity; ++c) {
-          // VALUES expressions reference the pre-join slots only.
-          ASSIGN_OR_RETURN(Value v,
-                           EvalExpr(*values_row[c], next_env, scratch, *ctx));
-          scratch[current.size() + c] = std::move(v);
-        }
-        bool pass = true;
-        for (const auto& f : filters) {
-          ASSIGN_OR_RETURN(Value v, EvalExpr(*f, next_env, scratch, *ctx));
-          if (!IsTruthy(v)) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) out.push_back(scratch);
-      }
-    }
-    *rows = std::move(out);
-    span.set_rows(rows->size());
-    return Status::OK();
-  }
-
-  /// Batched lateral TABLE(VALUES ...) expansion. Each tuple expression is
-  /// evaluated once per vector (a bare column reference borrows the input
-  /// column), the candidates are laid out (input row, tuple) major like the
-  /// row path's nested loops, and the fused filters run over them. Filters
-  /// that read only the unnest's own columns run over those narrow columns;
-  /// the first filter reading an input column widens the survivors to the
-  /// full combined row. Set-up is per tuple expression, not per input
-  /// column.
-  Status UnnestValuesBatched(const TableRef& ref, const ColumnEnv& env,
-                             const ColumnEnv& next_env,
-                             const std::vector<ExprPtr>& filters,
-                             const EvalContext& ctx, WorkingSet* ws) {
-    obs::ScopedSpan span(spans_, context_, "unnest values " + ref.exposure());
-    ColumnBatch& in = ws->batch;
+    const ColumnBatch& in = *ws;
     const size_t n = in.num_rows;
-    const size_t width = in.num_cols();
     const size_t arity = ref.column_aliases.size();
     const size_t tuples = ref.values_rows.size();
-    ColumnBatch out;
-    if (n == 0 || tuples == 0) {
-      out.Reset(width + arity);
-      ws->SetBatch(std::move(out));
-      span.set_rows(0);
-      return Status::OK();
-    }
     std::vector<ColumnVector> computed;
     computed.reserve(tuples * arity);
     std::vector<const ColumnVector*> tuple_cols;  // [tuple * arity + column]
@@ -981,19 +952,107 @@ class Executor::Impl {
       }
     }
     cand.num_rows = n * tuples;
-    std::vector<uint32_t> alive(cand.num_rows);  // surviving candidates
-    for (size_t i = 0; i < alive.size(); ++i) {
-      alive[i] = static_cast<uint32_t>(i);
+    std::vector<uint32_t> rows(cand.num_rows);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<uint32_t>(i / tuples);
     }
-    auto input_rows = [&] {
-      std::vector<uint32_t> rows;
-      rows.reserve(alive.size());
-      for (uint32_t a : alive) {
-        rows.push_back(static_cast<uint32_t>(a / tuples));
-      }
-      return rows;
-    };
+    RETURN_NOT_OK(FilterLateral(ref, next_env, filters, ctx, std::move(rows),
+                                std::move(cand), ws));
+    span.set_rows(ws->num_rows);
+    return Status::OK();
+  }
 
+  /// Lateral TABLE(JSON_EDGES(doc)) expansion: parses the serialized
+  /// adjacency document of each input row — one parse per row, the
+  /// engine-internal navigation cost a JSON column implies — and emits one
+  /// candidate per edge entry.
+  Status UnnestJson(const TableRef& ref, const ColumnEnv& env,
+                    const ColumnEnv& next_env,
+                    const std::vector<ExprPtr>& filters,
+                    const EvalContext& ctx, ColumnBatch* ws) {
+    const size_t arity = ref.column_aliases.size();
+    if (arity < 1 || arity > 3) {
+      return Status::InvalidArgument("JSON_EDGES exposes 1-3 columns");
+    }
+    obs::ScopedSpan span(spans_, context_,
+                         "unnest json_edges " + ref.exposure());
+    const Expr& doc_expr = *ref.json_doc;
+    const int slot = doc_expr.kind == ExprKind::kColumnRef
+                         ? env.TryResolve(doc_expr.qualifier, doc_expr.column)
+                         : -1;
+    ColumnVector computed;
+    if (slot < 0) {
+      ASSIGN_OR_RETURN(computed, EvalExprBatch(doc_expr, env, *ws, ctx));
+    }
+    const ColumnVector& docs =
+        slot >= 0 ? ws->cols[static_cast<size_t>(slot)] : computed;
+    std::vector<uint32_t> rows;  // input row of each candidate
+    ColumnBatch cand;
+    cand.Reset(arity);
+    json::JsonValue parsed;
+    for (size_t i = 0; i < ws->num_rows; ++i) {
+      if (docs.IsNull(i)) continue;
+      // A string is a serialized document, a JSON value a parsed one; any
+      // other value holds no edges.
+      const std::string* text = nullptr;
+      const json::JsonValue* doc = nullptr;
+      if (docs.tag() == ColumnVector::Tag::kString) {
+        text = &docs.StringAt(i);
+      } else if (docs.tag() == ColumnVector::Tag::kBoxed) {
+        const Value& v = docs.BoxedAt(i);
+        if (v.is_string()) text = &v.AsString();
+        if (v.is_json()) doc = &v.AsJson();
+      }
+      if (text != nullptr) {
+        // The parse is the real per-access cost of a JSON column.
+        ASSIGN_OR_RETURN(parsed, json::Parse(*text));
+        doc = &parsed;
+      }
+      if (doc == nullptr || !doc->is_object()) continue;
+      for (const auto& [label, list] : doc->AsObject()) {
+        if (!list.is_array()) continue;
+        for (const auto& entry : list.AsArray()) {
+          const json::JsonValue* val = entry.Find("val");
+          const json::JsonValue* eid = entry.Find("eid");
+          size_t c = 0;
+          if (arity >= 2) cand.cols[c++].Append(Value(label));
+          if (arity == 3) {
+            cand.cols[c++].Append(eid != nullptr && eid->is_int()
+                                      ? Value(eid->AsInt())
+                                      : Value::Null());
+          }
+          cand.cols[c].Append(val != nullptr && val->is_int()
+                                  ? Value(val->AsInt())
+                                  : Value::Null());
+          rows.push_back(static_cast<uint32_t>(i));
+        }
+      }
+    }
+    cand.num_rows = rows.size();
+    RETURN_NOT_OK(FilterLateral(ref, next_env, filters, ctx, std::move(rows),
+                                std::move(cand), ws));
+    span.set_rows(ws->num_rows);
+    return Status::OK();
+  }
+
+  /// The tail of both lateral unnests: candidate j pairs input row `rows[j]`
+  /// of `*ws` with the unnest's own columns `cand` row j. Fused filters that
+  /// read only the unnest's columns run over those narrow columns; the
+  /// first filter reading an input column widens the survivors to the full
+  /// combined row. The survivors, combined, replace `*ws`.
+  Status FilterLateral(const TableRef& ref, const ColumnEnv& next_env,
+                       const std::vector<ExprPtr>& filters,
+                       const EvalContext& ctx, std::vector<uint32_t> rows,
+                       ColumnBatch cand, ColumnBatch* ws) {
+    const size_t width = ws->num_cols();
+    // The survivors' input rows, then the unnest's own columns.
+    auto combine = [&] {
+      ColumnBatch out;
+      out.num_rows = rows.size();
+      out.cols = TakeRows(ws, rows);
+      for (auto& col : cand.cols) out.cols.push_back(std::move(col));
+      return out;
+    };
     ColumnEnv narrow_env;
     for (const auto& c : ref.column_aliases) narrow_env.Add(ref.exposure(), c);
     bool wide = false;  // `cand` holds the combined rows, not just t.*
@@ -1001,15 +1060,7 @@ class Executor::Impl {
     for (const auto& f : filters) {
       if (cand.num_rows == 0) break;
       if (!wide && !ReadsOnlySlotsFrom(*f, next_env, width)) {
-        ColumnBatch combined;
-        combined.cols.reserve(width + arity);
-        const std::vector<uint32_t> rows = input_rows();
-        for (const auto& col : in.cols) {
-          combined.cols.push_back(col.Gather(rows));
-        }
-        for (auto& col : cand.cols) combined.cols.push_back(std::move(col));
-        combined.num_rows = cand.num_rows;
-        cand = std::move(combined);
+        cand = combine();
         wide = true;
       }
       sel.clear();
@@ -1017,79 +1068,10 @@ class Executor::Impl {
                                        ctx, &sel));
       if (sel.size() == cand.num_rows) continue;
       cand.KeepOnly(sel);
-      for (size_t j = 0; j < sel.size(); ++j) alive[j] = alive[sel[j]];
-      alive.resize(sel.size());
+      for (size_t j = 0; j < sel.size(); ++j) rows[j] = rows[sel[j]];
+      rows.resize(sel.size());
     }
-    if (wide) {
-      out = std::move(cand);
-    } else {
-      out.cols = TakeRows(&in, input_rows());
-      for (auto& col : cand.cols) out.cols.push_back(std::move(col));
-      out.num_rows = alive.size();
-    }
-    ws->SetBatch(std::move(out));
-    span.set_rows(ws->size());
-    return Status::OK();
-  }
-
-  /// Lateral TABLE(JSON_EDGES(doc)) expansion: parses the serialized
-  /// adjacency document of each current row and emits one row per edge
-  /// entry — the engine-internal navigation cost a JSON column implies.
-  Status UnnestJson(const TableRef& ref, const ColumnEnv& next_env,
-                    const std::vector<ExprPtr>& filters, std::vector<Row>* rows,
-                    EvalContext* ctx) {
-    const size_t arity = ref.column_aliases.size();
-    if (arity < 1 || arity > 3) {
-      return Status::InvalidArgument("JSON_EDGES exposes 1-3 columns");
-    }
-    obs::ScopedSpan span(spans_, context_,
-                         "unnest json_edges " + ref.exposure());
-    std::vector<Row> out;
-    Row scratch;
-    for (const Row& current : *rows) {
-      scratch.assign(current.begin(), current.end());
-      scratch.resize(next_env.size());
-      ASSIGN_OR_RETURN(Value doc_value,
-                       EvalExpr(*ref.json_doc, next_env, scratch, *ctx));
-      if (doc_value.is_null()) continue;
-      json::JsonValue doc;
-      if (doc_value.is_string()) {
-        // Serialized document: the parse is the real per-access cost.
-        ASSIGN_OR_RETURN(doc, json::Parse(doc_value.AsString()));
-      } else if (doc_value.is_json()) {
-        doc = doc_value.AsJson();
-      } else {
-        continue;
-      }
-      if (!doc.is_object()) continue;
-      for (const auto& [label, list] : doc.AsObject()) {
-        if (!list.is_array()) continue;
-        for (const auto& entry : list.AsArray()) {
-          const json::JsonValue* val = entry.Find("val");
-          const json::JsonValue* eid = entry.Find("eid");
-          size_t slot = current.size();
-          if (arity >= 2) scratch[slot++] = Value(label);
-          if (arity == 3) {
-            scratch[slot++] = eid != nullptr && eid->is_int()
-                                  ? Value(eid->AsInt())
-                                  : Value::Null();
-          }
-          scratch[slot] = val != nullptr && val->is_int() ? Value(val->AsInt())
-                                                          : Value::Null();
-          bool pass = true;
-          for (const auto& f : filters) {
-            ASSIGN_OR_RETURN(Value v, EvalExpr(*f, next_env, scratch, *ctx));
-            if (!IsTruthy(v)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) out.push_back(scratch);
-        }
-      }
-    }
-    *rows = std::move(out);
-    span.set_rows(rows->size());
+    *ws = wide ? std::move(cand) : combine();
     return Status::OK();
   }
 
@@ -1098,72 +1080,55 @@ class Executor::Impl {
                      const std::string& alias, const ColumnEnv& env,
                      const std::vector<ExprPtr>& applicable,
                      std::vector<size_t>* applicable_ids,
-                     std::vector<bool>* consumed, WorkingSet* ws,
+                     std::vector<bool>* consumed, ColumnBatch* ws,
                      EvalContext* ctx) {
-    ws->rows.clear();
-    ws->batch = ColumnBatch();
-    // Batch mode enters the pipeline here, from a base table or from a
-    // materialized CTE/subquery alike.
-    ws->is_batch = options_.vectorized;
-    if (ws->is_batch) ws->batch.Reset(relation.columns.size());
+    ws->Reset(relation.columns.size());
     std::vector<bool> used(applicable.size(), false);
 
     if (relation.base != nullptr && options_.enable_indexes) {
       RETURN_NOT_OK(
           TryIndexAccess(ref, relation, alias, applicable, &used, ws, *ctx));
     }
-    if (ws->size() == 0 && !index_access_hit_) {
+    if (ws->num_rows == 0 && !index_access_hit_) {
       // Full scan.
       ++stats_->table_scans;
       if (relation.base != nullptr) {
         Trace("seq scan " + relation.base->name());
         obs::ScopedSpan span(spans_, context_,
                              "seq scan " + relation.base->name());
-        if (ws->is_batch) {
-          size_t scanned = 0;
-          RETURN_NOT_OK(
-              ScanBatched(relation, env, applicable, &used, *ctx, ws, &scanned));
-          span.set_rows(scanned);
-        } else {
-          relation.base->Scan([&](rel::RowId, const Row& row) {
-            ++stats_->rows_scanned;
-            ws->rows.push_back(relation.Project(row));
-          });
-          span.set_rows(ws->rows.size());
-        }
+        size_t scanned = 0;
+        RETURN_NOT_OK(
+            ScanBatched(relation, env, applicable, &used, *ctx, ws, &scanned));
+        span.set_rows(scanned);
       } else {
         obs::ScopedSpan span(spans_, context_, "scan " + ref.exposure());
         const Materialized* src = relation.materialized();
         if (src == nullptr) return Status::Internal("relation has no rows");
-        if (ws->is_batch) {
-          ws->batch = BatchOf(*src);
-        } else {
-          ws->rows = CopyRows(*src);
-        }
-        stats_->rows_scanned += src->ws.size();
-        span.set_rows(src->ws.size());
+        *ws = src->batch;
+        stats_->rows_scanned += src->batch.num_rows;
+        span.set_rows(src->batch.num_rows);
       }
     }
     index_access_hit_ = false;
     // Apply remaining predicates.
     for (size_t k = 0; k < applicable.size(); ++k) {
       if (!used[k]) {
-        RETURN_NOT_OK(FilterWorkingSet(*applicable[k], env, *ctx, ws));
+        RETURN_NOT_OK(FilterBatch(*applicable[k], env, *ctx, ws));
       }
       (*consumed)[(*applicable_ids)[k]] = true;
     }
     return Status::OK();
   }
 
-  /// Vectorized full scan: fill a chunk of kVectorChunkRows, run every
-  /// pending filter over it (gathering survivors between conjuncts so later
-  /// predicates only see rows earlier ones passed, like the row path), and
-  /// append what remains to the output batch. Marks the filters it fused in
-  /// `*used`; `*scanned` reports total rows read for the scan span.
+  /// Full scan: fill a chunk of kVectorChunkRows, run every pending filter
+  /// over it (gathering survivors between conjuncts so later predicates
+  /// only see rows earlier ones passed), and append what remains to the
+  /// output batch. Marks the filters it fused in `*used`; `*scanned`
+  /// reports total rows read for the scan span.
   Status ScanBatched(const Relation& relation, const ColumnEnv& env,
                      const std::vector<ExprPtr>& applicable,
                      std::vector<bool>* used, const EvalContext& ctx,
-                     WorkingSet* ws, size_t* scanned) {
+                     ColumnBatch* ws, size_t* scanned) {
     std::vector<const Expr*> filters;
     for (size_t k = 0; k < applicable.size(); ++k) {
       if (!(*used)[k]) {
@@ -1171,7 +1136,7 @@ class Executor::Impl {
         (*used)[k] = true;
       }
     }
-    const size_t width = ws->batch.num_cols();
+    const size_t width = ws->num_cols();
     ColumnBatch chunk;
     chunk.Reset(width);
     chunk.Reserve(rel::kVectorChunkRows);
@@ -1195,7 +1160,7 @@ class Executor::Impl {
         if (current->num_rows == 0) break;
       }
       for (size_t i = 0; i < current->num_rows; ++i) {
-        ws->batch.AppendRowFrom(*current, i);
+        ws->AppendRowFrom(*current, i);
       }
       chunk.Reset(width);
       chunk.Reserve(rel::kVectorChunkRows);
@@ -1212,14 +1177,14 @@ class Executor::Impl {
   }
 
   /// Attempts index-based retrieval for the first FROM item. Sets
-  /// `index_access_hit_` and fills `rows` on success; marks the predicates
+  /// `index_access_hit_` and fills `*ws` on success; marks the predicates
   /// it fully satisfied in `*used`. The access-path decision (which index,
   /// which predicates) is split from its execution so a prepared query can
   /// memoize the former and replay only the latter with fresh bind values.
   Status TryIndexAccess(const TableRef& ref, const Relation& relation,
                         const std::string& alias,
                         const std::vector<ExprPtr>& applicable,
-                        std::vector<bool>* used, WorkingSet* ws,
+                        std::vector<bool>* used, ColumnBatch* ws,
                         const EvalContext& ctx) {
     const rel::Table& table = *relation.base;
     index_access_hit_ = false;
@@ -1328,7 +1293,7 @@ class Executor::Impl {
   /// AccessFirst falls back to the full scan.
   Status ExecAccessPlan(const PlanMemo::AccessPlan& plan,
                         const Relation& relation, std::vector<bool>* used,
-                        WorkingSet* ws, const EvalContext& ctx) {
+                        ColumnBatch* ws, const EvalContext& ctx) {
     using AccessPlan = PlanMemo::AccessPlan;
     const rel::Table& table = *relation.base;
     switch (plan.kind) {
@@ -1422,30 +1387,26 @@ class Executor::Impl {
   }
 
   Status FetchRows(const Relation& relation, const std::vector<rel::RowId>& rids,
-                   WorkingSet* ws) {
+                   ColumnBatch* ws) {
     Row row;
     for (rel::RowId rid : rids) {
       row.clear();
       RETURN_NOT_OK(
           relation.base->GetProjected(rid, relation.projection, &row));
-      if (ws->is_batch) {
-        ws->batch.AppendRow(row);
-      } else {
-        ws->rows.push_back(row);
-      }
+      ws->AppendRow(row);
       ++stats_->rows_scanned;
     }
     return Status::OK();
   }
 
-  /// Inner (comma) join of the next ref into the current rows.
+  /// Inner (comma) join of the next ref into the current batch.
   Status JoinInner(const TableRef& ref, const Relation& relation,
                    const std::string& alias,
                    const std::vector<std::string>& ref_columns,
                    const ColumnEnv& env, const ColumnEnv& next_env,
                    const std::vector<ExprPtr>& applicable,
                    std::vector<size_t>* applicable_ids,
-                   std::vector<bool>* consumed, WorkingSet* ws,
+                   std::vector<bool>* consumed, ColumnBatch* ws,
                    EvalContext* ctx) {
     using JoinPlan = PlanMemo::JoinPlan;
     // Partition applicable conjuncts: equi-join keys / ref-local / residual.
@@ -1530,132 +1491,64 @@ class Executor::Impl {
       }
     }
 
-    {
-      if (best != nullptr) {
-        const rel::Table& table = *relation.base;
-        ++stats_->index_nl_joins;
-        Trace("index nested-loop join " + table.name() + " via " +
-              best->name());
-        obs::ScopedSpan span(spans_, context_,
-                             "index nested-loop join " + table.name() +
-                                 " via " + best->name());
-        if (ws->is_batch) {
-          RETURN_NOT_OK(IndexNlJoinBatched(relation, env, keys,
-                                           best_key_order, *best, ctx, ws));
-        } else {
-          std::vector<Row> out;
-          for (const Row& current : ws->rows) {
-            rel::IndexKey key;
-            key.parts.reserve(best_key_order.size());
-            bool null_key = false;
-            for (size_t ki : best_key_order) {
-              ASSIGN_OR_RETURN(Value v,
-                               EvalExpr(*keys[ki].outer, env, current, *ctx));
-              if (v.is_null()) null_key = true;
-              key.parts.push_back(std::move(v));
-            }
-            if (null_key) continue;  // NULL never equi-joins
-            std::vector<rel::RowId> rids;
-            best->Lookup(key, &rids);
-            ++stats_->index_lookups;
-            for (rel::RowId rid : rids) {
-              Row combined = current;
-              RETURN_NOT_OK(
-                  table.GetProjected(rid, relation.projection, &combined));
-              out.push_back(std::move(combined));
-            }
-          }
-          ws->rows = std::move(out);
+    if (best != nullptr) {
+      const rel::Table& table = *relation.base;
+      ++stats_->index_nl_joins;
+      Trace("index nested-loop join " + table.name() + " via " + best->name());
+      obs::ScopedSpan span(spans_, context_,
+                           "index nested-loop join " + table.name() +
+                               " via " + best->name());
+      std::vector<ExprPtr> key_exprs;
+      for (size_t ki : best_key_order) key_exprs.push_back(keys[ki].outer);
+      ASSIGN_OR_RETURN(std::vector<ColumnVector> key_cols,
+                       EvalColumns(key_exprs, env, *ws, *ctx));
+      std::vector<uint32_t> left_sel;
+      ColumnBatch right;
+      right.Reset(relation.columns.size());
+      RETURN_NOT_OK(ProbeIndex(relation, *best, ws->num_rows, key_cols,
+                               &left_sel, &right));
+      ColumnBatch out;
+      out.num_rows = left_sel.size();
+      out.cols = TakeRows(ws, left_sel);
+      for (auto& c : right.cols) out.cols.push_back(std::move(c));
+      *ws = std::move(out);
+      span.set_rows(ws->num_rows);
+      span.Finish();
+      // Keys covered by the chosen index are satisfied; others (plus all
+      // non-equi applicable conjuncts) filter below.
+      std::vector<bool> key_used(keys.size(), false);
+      for (size_t ki : best_key_order) key_used[ki] = true;
+      size_t key_cursor = 0;
+      for (size_t k = 0; k < applicable.size(); ++k) {
+        if (!used[k] || !key_used[key_cursor++]) {
+          RETURN_NOT_OK(FilterBatch(*applicable[k], next_env, *ctx, ws));
         }
-        span.set_rows(ws->size());
-        span.Finish();
-        // Keys covered by the chosen index are satisfied; others (plus all
-        // non-equi applicable conjuncts) filter below.
-        std::vector<bool> key_used(keys.size(), false);
-        for (size_t ki : best_key_order) key_used[ki] = true;
-        size_t key_cursor = 0;
-        for (size_t k = 0; k < applicable.size(); ++k) {
-          if (used[k]) {
-            const bool satisfied = key_used[key_cursor++];
-            if (!satisfied) {
-              RETURN_NOT_OK(
-                  FilterWorkingSet(*applicable[k], next_env, *ctx, ws));
-            }
-          } else {
-            RETURN_NOT_OK(FilterWorkingSet(*applicable[k], next_env, *ctx, ws));
-          }
-          (*consumed)[(*applicable_ids)[k]] = true;
-        }
-        return Status::OK();
+        (*consumed)[(*applicable_ids)[k]] = true;
       }
+      return Status::OK();
     }
 
+    std::vector<uint32_t> left_sel, right_sel;
     if (!keys.empty()) {
       // Hash join: build on the new relation.
       ++stats_->hash_joins;
       Trace("hash join build on " + ref.exposure());
-      // Key slots within the ref row.
-      std::vector<int> build_slots;
-      for (const auto& key : keys) {
-        int slot = -1;
-        for (size_t c = 0; c < ref_columns.size(); ++c) {
-          if (ref_columns[c] == key.column) {
-            slot = static_cast<int>(c);
-            break;
-          }
-        }
-        if (slot < 0) return Status::Internal("join key column missing");
-        build_slots.push_back(slot);
-      }
-      if (ws->is_batch) {
-        ASSIGN_OR_RETURN(ColumnBatch build, MaterializeRelationBatch(relation));
-        obs::ScopedSpan span(spans_, context_,
-                             "hash join on " + ref.exposure());
-        RETURN_NOT_OK(HashJoinBatched(env, keys, build_slots, build, ctx, ws));
-        span.set_rows(ws->size());
-        span.Finish();
-      } else {
-        ASSIGN_OR_RETURN(std::vector<Row> build_rows,
-                         MaterializeRelation(relation));
-        obs::ScopedSpan span(spans_, context_,
-                             "hash join on " + ref.exposure());
-        std::unordered_multimap<rel::IndexKey, const Row*, rel::IndexKeyHash>
-            hash_table;
-        hash_table.reserve(build_rows.size());
-        for (const Row& r : build_rows) {
-          rel::IndexKey key;
-          bool null_key = false;
-          for (int slot : build_slots) {
-            if (r[static_cast<size_t>(slot)].is_null()) null_key = true;
-            key.parts.push_back(r[static_cast<size_t>(slot)]);
-          }
-          if (!null_key) hash_table.emplace(std::move(key), &r);
-        }
-        std::vector<Row> out;
-        for (const Row& current : ws->rows) {
-          rel::IndexKey key;
-          bool null_key = false;
-          for (const auto& k : keys) {
-            ASSIGN_OR_RETURN(Value v, EvalExpr(*k.outer, env, current, *ctx));
-            if (v.is_null()) null_key = true;
-            key.parts.push_back(std::move(v));
-          }
-          if (null_key) continue;
-          auto [lo, hi] = hash_table.equal_range(key);
-          for (auto it = lo; it != hi; ++it) {
-            Row combined = current;
-            combined.insert(combined.end(), it->second->begin(),
-                            it->second->end());
-            out.push_back(std::move(combined));
-          }
-        }
-        ws->rows = std::move(out);
-        span.set_rows(ws->rows.size());
-        span.Finish();
-      }
+      ASSIGN_OR_RETURN(std::vector<int> build_slots,
+                       BuildSlots(keys, ref_columns));
+      ASSIGN_OR_RETURN(ColumnBatch build, MaterializeRelation(relation));
+      obs::ScopedSpan span(spans_, context_, "hash join on " + ref.exposure());
+      std::vector<ExprPtr> key_exprs;
+      for (const auto& k : keys) key_exprs.push_back(k.outer);
+      ASSIGN_OR_RETURN(std::vector<ColumnVector> probe_cols,
+                       EvalColumns(key_exprs, env, *ws, *ctx));
+      HashMatch(build, build_slots, probe_cols, ws->num_rows, &left_sel,
+                &right_sel);
+      *ws = JoinPairs(ws, left_sel, build, right_sel);
+      span.set_rows(ws->num_rows);
+      span.Finish();
       for (size_t k = 0; k < applicable.size(); ++k) {
         if (!used[k]) {
-          RETURN_NOT_OK(FilterWorkingSet(*applicable[k], next_env, *ctx, ws));
+          RETURN_NOT_OK(FilterBatch(*applicable[k], next_env, *ctx, ws));
         }
         (*consumed)[(*applicable_ids)[k]] = true;
       }
@@ -1663,84 +1556,36 @@ class Executor::Impl {
     }
 
     // No equi keys: nested-loop cross join, then filter.
-    if (ws->is_batch) {
-      ASSIGN_OR_RETURN(ColumnBatch right, MaterializeRelationBatch(relation));
-      obs::ScopedSpan span(spans_, context_, "cross join " + ref.exposure());
-      const size_t n = ws->batch.num_rows, m = right.num_rows;
-      std::vector<uint32_t> left_sel, right_sel;
-      left_sel.reserve(n * m);
-      right_sel.reserve(n * m);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < m; ++j) {
-          left_sel.push_back(static_cast<uint32_t>(i));
-          right_sel.push_back(static_cast<uint32_t>(j));
-        }
-      }
-      ColumnBatch out;
-      out.cols.reserve(ws->batch.num_cols() + right.num_cols());
-      for (const auto& c : ws->batch.cols) out.cols.push_back(c.Gather(left_sel));
-      for (const auto& c : right.cols) out.cols.push_back(c.Gather(right_sel));
-      out.num_rows = left_sel.size();
-      ws->SetBatch(std::move(out));
-      span.set_rows(ws->size());
-      span.Finish();
-    } else {
-      ASSIGN_OR_RETURN(std::vector<Row> right_rows,
-                       MaterializeRelation(relation));
-      obs::ScopedSpan span(spans_, context_, "cross join " + ref.exposure());
-      std::vector<Row> out;
-      out.reserve(ws->rows.size() * right_rows.size());
-      for (const Row& current : ws->rows) {
-        for (const Row& r : right_rows) {
-          Row combined = current;
-          combined.insert(combined.end(), r.begin(), r.end());
-          out.push_back(std::move(combined));
-        }
-      }
-      ws->rows = std::move(out);
-      span.set_rows(ws->rows.size());
-      span.Finish();
-    }
+    ASSIGN_OR_RETURN(ColumnBatch right, MaterializeRelation(relation));
+    obs::ScopedSpan span(spans_, context_, "cross join " + ref.exposure());
+    CrossPairs(ws->num_rows, right.num_rows, &left_sel, &right_sel);
+    *ws = JoinPairs(ws, left_sel, right, right_sel);
+    span.set_rows(ws->num_rows);
+    span.Finish();
     for (size_t k = 0; k < applicable.size(); ++k) {
-      RETURN_NOT_OK(FilterWorkingSet(*applicable[k], next_env, *ctx, ws));
+      RETURN_NOT_OK(FilterBatch(*applicable[k], next_env, *ctx, ws));
       (*consumed)[(*applicable_ids)[k]] = true;
     }
     return Status::OK();
   }
 
-  /// Batched index nested-loop join: the equi-key expressions evaluate once
-  /// per vector, then each probe row drives one index lookup; matches gather
-  /// the probe side and append the fetched build side column by column.
-  Status IndexNlJoinBatched(const Relation& relation, const ColumnEnv& env,
-                            const std::vector<EquiJoinKey>& keys,
-                            const std::vector<size_t>& key_order,
-                            const rel::Index& index, EvalContext* ctx,
-                            WorkingSet* ws) {
-    const ColumnBatch& left = ws->batch;
-    std::vector<ColumnVector> key_cols;
-    key_cols.reserve(key_order.size());
-    for (size_t ki : key_order) {
-      ASSIGN_OR_RETURN(ColumnVector col,
-                       EvalExprBatch(*keys[ki].outer, env, left, *ctx));
-      key_cols.push_back(std::move(col));
+  /// Evaluates each of `exprs` once over the whole batch.
+  static Result<std::vector<ColumnVector>> EvalColumns(
+      const std::vector<ExprPtr>& exprs, const ColumnEnv& env,
+      const ColumnBatch& batch, const EvalContext& ctx) {
+    std::vector<ColumnVector> cols;
+    cols.reserve(exprs.size());
+    for (const auto& e : exprs) {
+      ASSIGN_OR_RETURN(ColumnVector col, EvalExprBatch(*e, env, batch, ctx));
+      cols.push_back(std::move(col));
     }
-    std::vector<uint32_t> left_sel;
-    ColumnBatch right;
-    right.Reset(relation.columns.size());
-    RETURN_NOT_OK(ProbeIndex(relation, index, ws->batch.num_rows, key_cols,
-                             &left_sel, &right));
-    ColumnBatch out;
-    out.num_rows = left_sel.size();
-    out.cols = TakeRows(&ws->batch, left_sel);
-    for (auto& c : right.cols) out.cols.push_back(std::move(c));
-    ws->SetBatch(std::move(out));
-    return Status::OK();
+    return cols;
   }
 
-  /// The probe loop shared by the batched index nested-loop joins: for every
-  /// row i < n whose key columns hold no NULL, one index lookup, then each
+  /// The probe loop shared by the index nested-loop joins: for every row
+  /// i < n whose key columns hold no NULL, one index lookup, then each
   /// match's projected columns appended to `*right` and i to `*left_sel`.
-  /// One key and one rid buffer serve the whole vector.
+  /// One key and one rid buffer serve the whole batch.
   Status ProbeIndex(const Relation& relation, const rel::Index& index,
                     size_t n, const std::vector<ColumnVector>& key_cols,
                     std::vector<uint32_t>* left_sel, ColumnBatch* right) {
@@ -1771,96 +1616,12 @@ class Executor::Impl {
     return Status::OK();
   }
 
-  /// Batched hash join. Build keys come straight out of the build batch's
-  /// key columns; probe keys evaluate once per vector. Single-int64-key
-  /// joins (the adjacency self-join shape: EA.INV = r.VID) skip rel::Value
-  /// boxing entirely and hash raw int64s.
-  Status HashJoinBatched(const ColumnEnv& env,
-                         const std::vector<EquiJoinKey>& keys,
-                         const std::vector<int>& build_slots,
-                         const ColumnBatch& build, EvalContext* ctx,
-                         WorkingSet* ws) {
-    const ColumnBatch& left = ws->batch;
-    std::vector<ColumnVector> probe_cols;
-    probe_cols.reserve(keys.size());
-    for (const auto& k : keys) {
-      ASSIGN_OR_RETURN(ColumnVector col,
-                       EvalExprBatch(*k.outer, env, left, *ctx));
-      probe_cols.push_back(std::move(col));
-    }
-    std::vector<uint32_t> left_sel, right_sel;
-
-    const bool int64_key =
-        keys.size() == 1 &&
-        build.cols[static_cast<size_t>(build_slots[0])].typed() &&
-        build.cols[static_cast<size_t>(build_slots[0])].tag() ==
-            ColumnVector::Tag::kInt64 &&
-        probe_cols[0].typed() &&
-        probe_cols[0].tag() == ColumnVector::Tag::kInt64;
-    if (int64_key) {
-      const ColumnVector& bc = build.cols[static_cast<size_t>(build_slots[0])];
-      const ColumnVector& pc = probe_cols[0];
-      std::unordered_multimap<int64_t, uint32_t> hash_table;
-      hash_table.reserve(build.num_rows);
-      for (size_t j = 0; j < build.num_rows; ++j) {
-        if (!bc.IsNull(j)) {
-          hash_table.emplace(bc.IntAt(j), static_cast<uint32_t>(j));
-        }
-      }
-      for (size_t i = 0; i < left.num_rows; ++i) {
-        if (pc.IsNull(i)) continue;
-        auto [lo, hi] = hash_table.equal_range(pc.IntAt(i));
-        for (auto it = lo; it != hi; ++it) {
-          left_sel.push_back(static_cast<uint32_t>(i));
-          right_sel.push_back(it->second);
-        }
-      }
-    } else {
-      std::unordered_multimap<rel::IndexKey, uint32_t, rel::IndexKeyHash>
-          hash_table;
-      hash_table.reserve(build.num_rows);
-      rel::IndexKey key;
-      key.parts.reserve(build_slots.size());
-      for (size_t j = 0; j < build.num_rows; ++j) {
-        key.parts.clear();
-        bool null_key = false;
-        for (int slot : build_slots) {
-          Value v = build.cols[static_cast<size_t>(slot)].GetValue(j);
-          if (v.is_null()) null_key = true;
-          key.parts.push_back(std::move(v));
-        }
-        if (!null_key) hash_table.emplace(key, static_cast<uint32_t>(j));
-      }
-      for (size_t i = 0; i < left.num_rows; ++i) {
-        key.parts.clear();
-        bool null_key = false;
-        for (const auto& col : probe_cols) {
-          Value v = col.GetValue(i);
-          if (v.is_null()) null_key = true;
-          key.parts.push_back(std::move(v));
-        }
-        if (null_key) continue;
-        auto [lo, hi] = hash_table.equal_range(key);
-        for (auto it = lo; it != hi; ++it) {
-          left_sel.push_back(static_cast<uint32_t>(i));
-          right_sel.push_back(it->second);
-        }
-      }
-    }
-    ColumnBatch out;
-    out.cols.reserve(left.num_cols() + build.num_cols());
-    for (const auto& c : left.cols) out.cols.push_back(c.Gather(left_sel));
-    for (const auto& c : build.cols) out.cols.push_back(c.Gather(right_sel));
-    out.num_rows = left_sel.size();
-    ws->SetBatch(std::move(out));
-    return Status::OK();
-  }
-
-  /// Batched counterpart of MaterializeRelation (same span and counters).
-  Result<ColumnBatch> MaterializeRelationBatch(const Relation& relation) {
-    ColumnBatch out;
-    out.Reset(relation.columns.size());
+  /// The rows of a join's build side: a projected scan of a base table, or
+  /// a copy of a materialized select's batch.
+  Result<ColumnBatch> MaterializeRelation(const Relation& relation) {
     if (relation.base != nullptr) {
+      ColumnBatch out;
+      out.Reset(relation.columns.size());
       ++stats_->table_scans;
       obs::ScopedSpan span(spans_, context_,
                            "seq scan " + relation.base->name() + " (build)");
@@ -1873,14 +1634,18 @@ class Executor::Impl {
     }
     const Materialized* src = relation.materialized();
     if (src == nullptr) return Status::Internal("relation has no rows");
-    return BatchOf(*src);
+    return src->batch;
   }
 
+  /// Left-outer join: candidate pairs come from an index probe (the OSA/ISA
+  /// fast path), a hash build/probe, or — with no equi key — the cross
+  /// product; PadOuterMatches then applies the residual ON conjuncts and
+  /// NULL-pads the probe rows left unmatched.
   Status LeftOuterJoin(const TableRef& ref, const Relation& relation,
                        const std::string& alias,
                        const std::vector<std::string>& ref_columns,
                        const ColumnEnv& env, const ColumnEnv& next_env,
-                       WorkingSet* ws, EvalContext* ctx) {
+                       ColumnBatch* ws, EvalContext* ctx) {
     std::vector<EquiJoinKey> keys;
     std::vector<ExprPtr> residual;
     const rel::Index* index = nullptr;
@@ -1942,201 +1707,68 @@ class Executor::Impl {
       }
     }
 
-    std::vector<Row> out;
-    const size_t pad = ref_columns.size();
-
-    {
-      if (index != nullptr) {
-        const rel::Table& table = *relation.base;
-        ++stats_->index_nl_joins;
-        Trace("index nested-loop left-outer join " + table.name() + " via " +
-              index->name());
-        obs::ScopedSpan span(spans_, context_,
-                             "index nested-loop left-outer join " +
-                                 table.name() + " via " + index->name());
-        if (ws->is_batch) {
-          RETURN_NOT_OK(LeftOuterIndexNlBatched(relation, env, next_env, keys,
-                                                residual, *index, *ctx, ws));
-          span.set_rows(ws->size());
-          return Status::OK();
-        }
-        std::vector<Row>* rows = &ws->rows;
-        for (const Row& current : *rows) {
-          rel::IndexKey key;
-          bool null_key = false;
-          for (const auto& k : keys) {
-            ASSIGN_OR_RETURN(Value v, EvalExpr(*k.outer, env, current, *ctx));
-            if (v.is_null()) null_key = true;
-            key.parts.push_back(std::move(v));
-          }
-          bool matched = false;
-          if (!null_key) {
-            std::vector<rel::RowId> rids;
-            index->Lookup(key, &rids);
-            ++stats_->index_lookups;
-            for (rel::RowId rid : rids) {
-              Row combined = current;
-              RETURN_NOT_OK(
-                  table.GetProjected(rid, relation.projection, &combined));
-              bool pass = true;
-              for (const auto& c : residual) {
-                ASSIGN_OR_RETURN(Value v,
-                                 EvalExpr(*c, next_env, combined, *ctx));
-                if (!IsTruthy(v)) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (pass) {
-                matched = true;
-                out.push_back(std::move(combined));
-              }
-            }
-          }
-          if (!matched) {
-            Row combined = current;
-            combined.resize(combined.size() + pad);
-            out.push_back(std::move(combined));
-          }
-        }
-        *rows = std::move(out);
-        span.set_rows(rows->size());
-        return Status::OK();
-      }
+    std::vector<ExprPtr> key_exprs;
+    for (const auto& k : keys) key_exprs.push_back(k.outer);
+    const size_t n = ws->num_rows;
+    std::vector<uint32_t> match_left;  // probe row of each candidate pair
+    ColumnBatch right;                 // build side of each candidate pair
+    if (index != nullptr) {
+      const rel::Table& table = *relation.base;
+      ++stats_->index_nl_joins;
+      Trace("index nested-loop left-outer join " + table.name() + " via " +
+            index->name());
+      obs::ScopedSpan span(spans_, context_,
+                           "index nested-loop left-outer join " +
+                               table.name() + " via " + index->name());
+      ASSIGN_OR_RETURN(std::vector<ColumnVector> key_cols,
+                       EvalColumns(key_exprs, env, *ws, *ctx));
+      right.Reset(relation.columns.size());
+      RETURN_NOT_OK(
+          ProbeIndex(relation, *index, n, key_cols, &match_left, &right));
+      RETURN_NOT_OK(PadOuterMatches(next_env, residual, *ctx,
+                                    std::move(match_left), std::move(right),
+                                    ws));
+      span.set_rows(ws->num_rows);
+      return Status::OK();
     }
 
-    // No usable index: the hash / nested-loop outer joins run row-at-a-time.
-    std::vector<Row>* rows = ws->MutableRows(&stats_->batch_collapses);
-    ASSIGN_OR_RETURN(std::vector<Row> build_rows, MaterializeRelation(relation));
+    ASSIGN_OR_RETURN(ColumnBatch build, MaterializeRelation(relation));
     ++stats_->hash_joins;
     obs::ScopedSpan span(
         spans_, context_,
         (keys.empty() ? "nested-loop left-outer join " : "hash left-outer join ") +
             ref.exposure());
-
+    std::vector<uint32_t> right_sel;
     if (keys.empty()) {
-      // Rare: nested-loop left outer join with arbitrary ON.
-      for (const Row& current : *rows) {
-        bool matched = false;
-        for (const Row& r : build_rows) {
-          Row combined = current;
-          combined.insert(combined.end(), r.begin(), r.end());
-          bool pass = true;
-          for (const auto& c : residual) {
-            ASSIGN_OR_RETURN(Value v, EvalExpr(*c, next_env, combined, *ctx));
-            if (!IsTruthy(v)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) {
-            matched = true;
-            out.push_back(std::move(combined));
-          }
-        }
-        if (!matched) {
-          Row combined = current;
-          combined.resize(combined.size() + pad);
-          out.push_back(std::move(combined));
-        }
-      }
-      *rows = std::move(out);
-      span.set_rows(rows->size());
-      return Status::OK();
+      CrossPairs(n, build.num_rows, &match_left, &right_sel);
+    } else {
+      ASSIGN_OR_RETURN(std::vector<int> build_slots,
+                       BuildSlots(keys, ref_columns));
+      ASSIGN_OR_RETURN(std::vector<ColumnVector> probe_cols,
+                       EvalColumns(key_exprs, env, *ws, *ctx));
+      HashMatch(build, build_slots, probe_cols, n, &match_left, &right_sel);
     }
-
-    std::vector<int> build_slots;
-    for (const auto& key : keys) {
-      int slot = -1;
-      for (size_t c = 0; c < ref_columns.size(); ++c) {
-        if (ref_columns[c] == key.column) {
-          slot = static_cast<int>(c);
-          break;
-        }
-      }
-      if (slot < 0) return Status::Internal("left join key column missing");
-      build_slots.push_back(slot);
-    }
-    std::unordered_multimap<rel::IndexKey, const Row*, rel::IndexKeyHash>
-        hash_table;
-    hash_table.reserve(build_rows.size());
-    for (const Row& r : build_rows) {
-      rel::IndexKey key;
-      bool null_key = false;
-      for (int slot : build_slots) {
-        if (r[static_cast<size_t>(slot)].is_null()) null_key = true;
-        key.parts.push_back(r[static_cast<size_t>(slot)]);
-      }
-      if (!null_key) hash_table.emplace(std::move(key), &r);
-    }
-    for (const Row& current : *rows) {
-      rel::IndexKey key;
-      bool null_key = false;
-      for (const auto& k : keys) {
-        ASSIGN_OR_RETURN(Value v, EvalExpr(*k.outer, env, current, *ctx));
-        if (v.is_null()) null_key = true;
-        key.parts.push_back(std::move(v));
-      }
-      bool matched = false;
-      if (!null_key) {
-        auto [lo, hi] = hash_table.equal_range(key);
-        for (auto it = lo; it != hi; ++it) {
-          Row combined = current;
-          combined.insert(combined.end(), it->second->begin(),
-                          it->second->end());
-          bool pass = true;
-          for (const auto& c : residual) {
-            ASSIGN_OR_RETURN(Value v, EvalExpr(*c, next_env, combined, *ctx));
-            if (!IsTruthy(v)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) {
-            matched = true;
-            out.push_back(std::move(combined));
-          }
-        }
-      }
-      if (!matched) {
-        Row combined = current;
-        combined.resize(combined.size() + pad);
-        out.push_back(std::move(combined));
-      }
-    }
-    *rows = std::move(out);
-    span.set_rows(rows->size());
+    right.num_rows = right_sel.size();
+    for (const auto& c : build.cols) right.cols.push_back(c.Gather(right_sel));
+    RETURN_NOT_OK(PadOuterMatches(next_env, residual, *ctx,
+                                  std::move(match_left), std::move(right), ws));
+    span.set_rows(ws->num_rows);
     return Status::OK();
   }
 
-  /// Batched index nested-loop left-outer join (the OSA/ISA spill
-  /// templates). Probes like IndexNlJoinBatched; residual ON conjuncts then
-  /// run per vector over the matched pairs, keeping survivors between
-  /// conjuncts like the row path's short-circuit. A probe row left with no
-  /// match gets one row padded with NULLs, in probe order.
-  Status LeftOuterIndexNlBatched(const Relation& relation,
-                                 const ColumnEnv& env,
-                                 const ColumnEnv& next_env,
-                                 const std::vector<EquiJoinKey>& keys,
-                                 const std::vector<ExprPtr>& residual,
-                                 const rel::Index& index,
-                                 const EvalContext& ctx, WorkingSet* ws) {
-    ColumnBatch& left = ws->batch;
+  /// The tail of every left-outer join. `match_left` (non-decreasing) names
+  /// the probe row of each candidate pair and `right` its build side. The
+  /// residual ON conjuncts run over the pairs, keeping survivors between
+  /// conjuncts; a probe row left with no pair gets one row padded with
+  /// NULLs, in probe order.
+  Status PadOuterMatches(const ColumnEnv& next_env,
+                         const std::vector<ExprPtr>& residual,
+                         const EvalContext& ctx,
+                         std::vector<uint32_t> match_left, ColumnBatch right,
+                         ColumnBatch* ws) {
+    ColumnBatch& left = *ws;
     const size_t n = left.num_rows;
-    std::vector<ColumnVector> key_cols;
-    key_cols.reserve(keys.size());
-    for (const auto& k : keys) {
-      ASSIGN_OR_RETURN(ColumnVector col,
-                       EvalExprBatch(*k.outer, env, left, ctx));
-      key_cols.push_back(std::move(col));
-    }
-    const size_t right_width = relation.columns.size();
-    std::vector<uint32_t> match_left;  // probe row of each match
-    ColumnBatch right;
-    right.Reset(right_width);
-    RETURN_NOT_OK(
-        ProbeIndex(relation, index, n, key_cols, &match_left, &right));
-
+    const size_t right_width = right.num_cols();
     if (!residual.empty() && !match_left.empty()) {
       ColumnBatch pairs;
       pairs.cols.reserve(left.num_cols() + right_width);
@@ -2203,57 +1835,25 @@ class Executor::Impl {
         out.cols.push_back(std::move(col));
       }
     }
-    ws->SetBatch(std::move(out));
+    *ws = std::move(out);
     return Status::OK();
   }
 
-  Result<std::vector<Row>> MaterializeRelation(const Relation& relation) {
-    std::vector<Row> out;
-    if (relation.base != nullptr) {
-      ++stats_->table_scans;
-      obs::ScopedSpan span(spans_, context_,
-                           "seq scan " + relation.base->name() + " (build)");
-      relation.base->Scan([&](rel::RowId, const Row& row) {
-        ++stats_->rows_scanned;
-        out.push_back(relation.Project(row));
-      });
-      span.set_rows(out.size());
-      return out;
-    }
-    const Materialized* src = relation.materialized();
-    if (src == nullptr) return Status::Internal("relation has no rows");
-    return CopyRows(*src);
-  }
-
-  Status FilterRows(const Expr& predicate, const ColumnEnv& env,
-                    const EvalContext& ctx, std::vector<Row>* rows) {
-    std::vector<Row> kept;
-    kept.reserve(rows->size());
-    for (Row& row : *rows) {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(predicate, env, row, ctx));
-      if (IsTruthy(v)) kept.push_back(std::move(row));
-    }
-    *rows = std::move(kept);
-    return Status::OK();
-  }
-
-  /// Filter in whichever representation the working set currently holds.
-  Status FilterWorkingSet(const Expr& predicate, const ColumnEnv& env,
-                          const EvalContext& ctx, WorkingSet* ws) {
-    if (!ws->is_batch) return FilterRows(predicate, env, ctx, &ws->rows);
+  Status FilterBatch(const Expr& predicate, const ColumnEnv& env,
+                     const EvalContext& ctx, ColumnBatch* ws) {
     std::vector<uint32_t> sel;
-    RETURN_NOT_OK(EvalPredicateBatch(predicate, env, ws->batch, ctx, &sel));
-    if (sel.size() != ws->batch.num_rows) ws->batch.KeepOnly(sel);
+    RETURN_NOT_OK(EvalPredicateBatch(predicate, env, *ws, ctx, &sel));
+    if (sel.size() != ws->num_rows) ws->KeepOnly(sel);
     return Status::OK();
   }
 
   // ----------------------------------------- projection and aggregation ----
 
-  /// Evaluates the select list over `*ws` into `*out`: a batch stays a
-  /// batch unless `rows_out` asks for rows (the final result).
+  /// Evaluates the select list over `*ws` into `out->batch`, or into
+  /// `*rows_out` when given (the final result).
   Status Project(const SelectStmt& s, const ColumnEnv& env,
-                 const EvalContext& ctx, bool rows_out, WorkingSet* ws,
-                 Materialized* out) {
+                 const EvalContext& ctx, std::vector<Row>* rows_out,
+                 ColumnBatch* ws, Materialized* out) {
     // Expand stars into slot references.
     struct OutputCol {
       std::string name;
@@ -2284,77 +1884,52 @@ class Executor::Impl {
 
     out->columns.clear();
     for (const auto& c : cols) out->columns.push_back(c.name);
-    if (ws->is_batch && rows_out) {
-      // Evaluate each computed item once over the whole batch, then
-      // assemble output rows from slot copies and the computed vectors.
-      std::vector<ColumnVector> computed(cols.size());
-      for (size_t c = 0; c < cols.size(); ++c) {
-        if (cols[c].slot >= 0) continue;
-        ASSIGN_OR_RETURN(computed[c],
-                         EvalExprBatch(*cols[c].expr, env, ws->batch, ctx));
-      }
-      std::vector<Row>& rows = out->ws.rows;
-      rows.reserve(ws->batch.num_rows);
-      for (size_t i = 0; i < ws->batch.num_rows; ++i) {
+    ColumnBatch& in = *ws;
+    // Each computed item evaluates once over the whole batch.
+    std::vector<ColumnVector> computed(cols.size());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c].slot >= 0) continue;
+      ASSIGN_OR_RETURN(computed[c], EvalExprBatch(*cols[c].expr, env, in, ctx));
+    }
+    if (rows_out != nullptr) {
+      // Assemble output rows from slot copies and the computed vectors.
+      rows_out->reserve(in.num_rows);
+      for (size_t i = 0; i < in.num_rows; ++i) {
         Row projected;
         projected.reserve(cols.size());
         for (size_t c = 0; c < cols.size(); ++c) {
           const ColumnVector& src =
-              cols[c].slot >= 0
-                  ? ws->batch.cols[static_cast<size_t>(cols[c].slot)]
-                  : computed[c];
+              cols[c].slot >= 0 ? in.cols[static_cast<size_t>(cols[c].slot)]
+                                : computed[c];
           projected.push_back(src.GetValue(i));
         }
-        rows.push_back(std::move(projected));
+        rows_out->push_back(std::move(projected));
       }
       return Status::OK();
     }
-    if (ws->is_batch) {
-      // Evaluate each computed item once over the whole batch; slot items
-      // take their input column, moved when no other item reads it.
-      ColumnBatch& in = ws->batch;
-      std::vector<int> readers(in.num_cols(), 0);
-      for (const auto& c : cols) {
-        if (c.slot >= 0) ++readers[static_cast<size_t>(c.slot)];
-      }
-      ColumnBatch projected;
-      projected.num_rows = in.num_rows;
-      projected.cols.resize(cols.size());
-      for (size_t c = 0; c < cols.size(); ++c) {
-        if (cols[c].slot >= 0) continue;
-        ASSIGN_OR_RETURN(projected.cols[c],
-                         EvalExprBatch(*cols[c].expr, env, in, ctx));
-      }
-      for (size_t c = 0; c < cols.size(); ++c) {
-        if (cols[c].slot < 0) continue;
-        const size_t slot = static_cast<size_t>(cols[c].slot);
-        projected.cols[c] = --readers[slot] == 0 ? std::move(in.cols[slot])
-                                                 : in.cols[slot];
-      }
-      out->ws.SetBatch(std::move(projected));
-      return Status::OK();
+    // Slot items take their input column, moved when no other item reads
+    // it.
+    std::vector<int> readers(in.num_cols(), 0);
+    for (const auto& c : cols) {
+      if (c.slot >= 0) ++readers[static_cast<size_t>(c.slot)];
     }
-    std::vector<Row>& rows = out->ws.rows;
-    rows.clear();
-    rows.reserve(ws->rows.size());
-    for (const Row& row : ws->rows) {
-      Row projected;
-      projected.reserve(cols.size());
-      for (const auto& c : cols) {
-        if (c.slot >= 0) {
-          projected.push_back(row[static_cast<size_t>(c.slot)]);
-        } else {
-          ASSIGN_OR_RETURN(Value v, EvalExpr(*c.expr, env, row, ctx));
-          projected.push_back(std::move(v));
-        }
-      }
-      rows.push_back(std::move(projected));
+    ColumnBatch& projected = out->batch;
+    projected.num_rows = in.num_rows;
+    projected.cols = std::move(computed);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c].slot < 0) continue;
+      const size_t slot = static_cast<size_t>(cols[c].slot);
+      projected.cols[c] =
+          --readers[slot] == 0 ? std::move(in.cols[slot]) : in.cols[slot];
     }
     return Status::OK();
   }
 
+  /// GROUP BY / aggregate select: every GROUP BY expression and aggregate
+  /// argument evaluates once over the batch, then the groups fold row by
+  /// row out of those columns. The groups leave as rows.
   Result<ResultSet> Aggregate(const SelectStmt& s, const ColumnEnv& env,
-                              const WorkingSet& ws, const EvalContext& ctx) {
+                              const ColumnBatch& ws, const EvalContext& ctx) {
     // Each select item must be either an aggregate call or a GROUP BY
     // expression (matched textually).
     struct ItemPlan {
@@ -2459,13 +2034,23 @@ class Executor::Impl {
     // copied into the map only on first sight of a group.
     rel::IndexKey key;
     key.parts.reserve(s.group_by.size());
-    auto accumulate = [&](auto&& eval_group,
-                          auto&& eval_arg) -> util::Status {
+    std::vector<ColumnVector> group_cols;
+    group_cols.reserve(s.group_by.size());
+    for (const auto& g : s.group_by) {
+      ASSIGN_OR_RETURN(ColumnVector col, EvalExprBatch(*g, env, ws, ctx));
+      group_cols.push_back(std::move(col));
+    }
+    std::map<const Expr*, ColumnVector> arg_cols;
+    for (const auto& plan : plans) {
+      if (!plan.is_aggregate || plan.arg == nullptr) continue;
+      if (arg_cols.count(plan.arg.get())) continue;
+      ASSIGN_OR_RETURN(ColumnVector col,
+                       EvalExprBatch(*plan.arg, env, ws, ctx));
+      arg_cols.emplace(plan.arg.get(), std::move(col));
+    }
+    for (size_t i = 0; i < ws.num_rows; ++i) {
       key.parts.clear();
-      for (size_t gi = 0; gi < s.group_by.size(); ++gi) {
-        ASSIGN_OR_RETURN(Value v, eval_group(gi));
-        key.parts.push_back(std::move(v));
-      }
+      for (const auto& col : group_cols) key.parts.push_back(col.GetValue(i));
       auto it = groups.find(key);
       if (it == groups.end()) {
         it = groups.emplace(key, make_group()).first;
@@ -2475,51 +2060,9 @@ class Executor::Impl {
       for (const auto& plan : plans) {
         if (!plan.is_aggregate) continue;
         AggState& st = it->second.aggs[agg_index++];
-        if (plan.agg_kind == AggState::kCountStar) {
-          st.Add(Value());
-        } else {
-          ASSIGN_OR_RETURN(Value v, eval_arg(*plan.arg));
-          st.Add(v);
-        }
-      }
-      return Status::OK();
-    };
-    if (ws.is_batch) {
-      // Evaluate every GROUP BY expression and aggregate argument once per
-      // vector, then fold row by row out of the result columns.
-      std::vector<ColumnVector> group_cols;
-      group_cols.reserve(s.group_by.size());
-      for (const auto& g : s.group_by) {
-        ASSIGN_OR_RETURN(ColumnVector col,
-                         EvalExprBatch(*g, env, ws.batch, ctx));
-        group_cols.push_back(std::move(col));
-      }
-      std::map<const Expr*, ColumnVector> arg_cols;
-      for (const auto& plan : plans) {
-        if (!plan.is_aggregate || plan.arg == nullptr) continue;
-        if (arg_cols.count(plan.arg.get())) continue;
-        ASSIGN_OR_RETURN(ColumnVector col,
-                         EvalExprBatch(*plan.arg, env, ws.batch, ctx));
-        arg_cols.emplace(plan.arg.get(), std::move(col));
-      }
-      for (size_t i = 0; i < ws.batch.num_rows; ++i) {
-        RETURN_NOT_OK(accumulate(
-            [&](size_t gi) -> Result<Value> {
-              return group_cols[gi].GetValue(i);
-            },
-            [&](const Expr& arg) -> Result<Value> {
-              return arg_cols.at(&arg).GetValue(i);
-            }));
-      }
-    } else {
-      for (const Row& row : ws.rows) {
-        RETURN_NOT_OK(accumulate(
-            [&](size_t gi) -> Result<Value> {
-              return EvalExpr(*s.group_by[gi], env, row, ctx);
-            },
-            [&](const Expr& arg) -> Result<Value> {
-              return EvalExpr(arg, env, row, ctx);
-            }));
+        st.Add(plan.agg_kind == AggState::kCountStar
+                   ? Value()
+                   : arg_cols.at(plan.arg.get()).GetValue(i));
       }
     }
     // Global aggregation over an empty input still yields one row.
@@ -2554,27 +2097,19 @@ class Executor::Impl {
     if (rewritten_having != nullptr) {
       ColumnEnv having_env;
       for (const auto& c : out.columns) having_env.Add("", c);
-      RETURN_NOT_OK(FilterRows(*rewritten_having, having_env, ctx, &out.rows));
+      std::vector<Row> kept;
+      for (Row& row : out.rows) {
+        ASSIGN_OR_RETURN(Value v,
+                         EvalExpr(*rewritten_having, having_env, row, ctx));
+        if (IsTruthy(v)) kept.push_back(std::move(row));
+      }
+      out.rows = std::move(kept);
     }
     if (visible_items < out.columns.size()) {
       out.columns.resize(visible_items);
       for (auto& row : out.rows) row.resize(visible_items);
     }
     return out;
-  }
-
-  static void Dedupe(WorkingSet* ws) {
-    if (ws->is_batch) {
-      DedupeBatch(&ws->batch);
-      return;
-    }
-    std::unordered_set<Row, RowHash, RowEq> seen;
-    std::vector<Row> kept;
-    kept.reserve(ws->rows.size());
-    for (auto& row : ws->rows) {
-      if (seen.insert(row).second) kept.push_back(std::move(row));
-    }
-    ws->rows = std::move(kept);
   }
 
   // --------------------------------------------------- IN subqueries ----
@@ -2598,15 +2133,9 @@ class Executor::Impl {
         return Status::InvalidArgument("IN subquery must return one column");
       }
       auto& set = ctx->in_subquery_sets[node];
-      if (res.ws.is_batch) {
-        const ColumnVector& col = res.ws.batch.cols[0];
-        for (size_t i = 0; i < res.ws.batch.num_rows; ++i) {
-          if (!col.IsNull(i)) set.insert(col.GetValue(i));
-        }
-        continue;
-      }
-      for (auto& row : res.ws.rows) {
-        if (!row[0].is_null()) set.insert(std::move(row[0]));
+      const ColumnVector& col = res.batch.cols[0];
+      for (size_t i = 0; i < res.batch.num_rows; ++i) {
+        if (!col.IsNull(i)) set.insert(col.GetValue(i));
       }
     }
     return Status::OK();

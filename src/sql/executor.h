@@ -1,18 +1,23 @@
 // Set-oriented execution of the SQL AST against a rel::Database.
 //
 // The executor evaluates CTEs in order into materialized temporary
-// relations, then the final SELECT. Join processing is pipelined left to
-// right with the access paths chosen by sql/planner.h:
+// relations, then the final SELECT. Every operator takes and returns a
+// rel::ColumnBatch: expressions evaluate once per batch (sql/expr_eval.h)
+// and filters and joins gather rows through selection vectors. Join
+// processing runs left to right with the access paths chosen by
+// sql/planner.h:
 //
 //   * index nested-loop join when the inbound equi-join columns are covered
 //     by a base-table index (the OPA/IPA/EA fast path),
 //   * hash join otherwise,
-//   * lateral expansion for TABLE(VALUES ...) unnest,
-//   * left-outer hash join for the OSA/ISA COALESCE templates.
+//   * lateral expansion for TABLE(VALUES ...) and TABLE(JSON_EDGES(...)),
+//   * left-outer join by index probe (the OSA/ISA COALESCE templates), hash
+//     or nested loop.
 //
 // Recursive CTEs run semi-naively with a global dedup (UNION-style fixpoint)
 // and an iteration cap, mirroring the paper's recursive-SQL fallback for
-// unbounded loop pipes.
+// unbounded loop pipes. Only the final SELECT turns its batch into the
+// ResultSet's rows.
 //
 // Prepared queries: Prepare() lexes/parses once and returns a PreparedQuery
 // holding the shared AST plus a PlanMemo that records the per-table-ref
@@ -51,11 +56,6 @@ struct ExecStats {
   uint64_t index_nl_joins = 0;
   uint64_t rows_scanned = 0;
   uint64_t recursive_iterations = 0;
-  /// Batch-to-row collapses in vectorized execution: each time an operator
-  /// without a batched implementation (sort, recursive CTE, JSON_EDGES,
-  /// non-indexed outer join, INTERSECT/EXCEPT) turned a ColumnBatch back
-  /// into rows. Always 0 with Options::vectorized off.
-  uint64_t batch_collapses = 0;
   /// Prepared-query pipeline: executions that reused a cached plan vs.
   /// executions that had to lex/parse/plan.
   uint64_t plan_cache_hits = 0;
@@ -149,12 +149,6 @@ class Executor {
     int max_recursion = 10000;
     /// Disable index selection (for ablation tests).
     bool enable_indexes = true;
-    /// Batch-at-a-time execution: base-table pipelines flow through
-    /// rel::ColumnBatch with vectorized predicate/projection/join/aggregate
-    /// evaluation. Off forces the row-at-a-time operators everywhere (the
-    /// differential oracle and ablation benchmarks). Results, EXPLAIN
-    /// ANALYZE spans, and ExecStats counters are identical either way.
-    bool vectorized = true;
     /// EXPLAIN ANALYZE mode: record per-operator rows + wall time into
     /// ExecStats::spans. Off by default — each span costs two clock reads.
     bool analyze = false;

@@ -1,4 +1,8 @@
-// Scalar expression evaluation over combined join rows.
+// Expression evaluation for the SQL executor. Every operator evaluates
+// over a whole rel::ColumnBatch (EvalExprBatch / EvalPredicateBatch); the
+// scalar EvalExpr over one combined row shares their per-value kernels and
+// serves the per-row paths (HAVING over finished groups, bind parameters,
+// the batch evaluator's short-circuit rescue).
 
 #ifndef SQLGRAPH_SQL_EXPR_EVAL_H_
 #define SQLGRAPH_SQL_EXPR_EVAL_H_
@@ -81,9 +85,9 @@ struct EvalContext {
 util::Result<rel::Value> EvalExpr(const Expr& e, const ColumnEnv& env,
                                   const rel::Row& row, const EvalContext& ctx);
 
-/// Batched evaluation: one result column over every row of `batch`, the
-/// vectorized counterpart of EvalExpr. Shares the per-value kernels with the
-/// scalar path, so results are element-wise identical — including NULL-mask
+/// Batched evaluation: one result column over every row of `batch`, the way
+/// every executor operator evaluates. Shares the per-value kernels with the
+/// scalar EvalExpr, so results are element-wise identical — including NULL-mask
 /// propagation, Kleene AND/OR, and JSON_VAL misses. AND/OR and COALESCE
 /// evaluate operand columns eagerly on the happy path; if an eagerly
 /// evaluated operand errors, the node transparently re-runs row-at-a-time

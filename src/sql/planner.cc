@@ -97,6 +97,22 @@ bool IsFullyBound(const Expr& e, const ColumnEnv& env) {
   return false;
 }
 
+const Expr* FindUnboundLateralExpr(const TableRef& ref, const ColumnEnv& env,
+                                   const ColumnEnv& next_env) {
+  auto bound = [&](const Expr& e) {
+    return IsFullyBound(e, env) && IsFullyBound(e, next_env);
+  };
+  for (const auto& values_row : ref.values_rows) {
+    for (const auto& e : values_row) {
+      if (!bound(*e)) return e.get();
+    }
+  }
+  if (ref.json_doc != nullptr && !bound(*ref.json_doc)) {
+    return ref.json_doc.get();
+  }
+  return nullptr;
+}
+
 namespace {
 
 /// True if `e` is a plain column of the ref `alias` (qualified, or bare and

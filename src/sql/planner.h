@@ -29,6 +29,14 @@ void CollectQualifiers(const Expr& e, const ColumnEnv& env,
 /// True if every column reference in `e` resolves within `env`.
 bool IsFullyBound(const Expr& e, const ColumnEnv& env);
 
+/// The scope rule of a lateral TABLE(VALUES ...) or TABLE(JSON_EDGES(...))
+/// item, shared by the executor and sql/verify.h: every tuple expression
+/// and the JSON document must read only columns joined before the item
+/// (`env`) and must stay unambiguous once the item's own columns join
+/// (`next_env`). Returns the first expression that breaks the rule, or null.
+const Expr* FindUnboundLateralExpr(const TableRef& ref, const ColumnEnv& env,
+                                   const ColumnEnv& next_env);
+
 /// An equality conjunct usable as a join key: `outer_expr = inner column`.
 struct EquiJoinKey {
   ExprPtr outer;        // evaluable against the pre-join env

@@ -266,8 +266,8 @@ class PlanChecker {
     RelShape step = CheckSelect(*whole.set_ops[0].rhs);
     if (shape.valid && step.valid &&
         step.columns.size() != shape.columns.size()) {
-      // The executor appends step rows to the working table without an
-      // arity check; mismatched widths corrupt downstream slot indexing.
+      // The executor rejects the mismatch too, but only after the base has
+      // run; here it is caught before anything runs.
       Add(VerifyCheck::kOperatorInvariant, "recursive cte",
           "recursive CTE " + cte.name + " step arity " +
               std::to_string(step.columns.size()) +
@@ -335,6 +335,15 @@ class PlanChecker {
         TypedEnv next_env = env;
         if (!AddRefToEnv(ref, &next_env)) env_valid = false;
         if (env_valid) {
+          if (const Expr* e = FindUnboundLateralExpr(ref, env.env,
+                                                     next_env.env)) {
+            Add(VerifyCheck::kColumnResolution,
+                (ref.kind == TableRefKind::kUnnestJson ? "unnest json_edges "
+                                                       : "unnest values ") +
+                    ref.exposure(),
+                "reads a column not bound before the lateral item: " +
+                    RenderExpr(*e));
+          }
           CheckRefExprs(ref, next_env);
           // Mirror JoinNextRef's staging: a conjunct is consumed (and
           // evaluated) at the first ref that makes it fully bound. Checking
@@ -473,7 +482,8 @@ class PlanChecker {
   }
 
   /// Expressions attached to the ref itself (VALUES rows, JSON_EDGES doc,
-  /// LEFT OUTER ... ON), all evaluated by the executor in the post-join env.
+  /// LEFT OUTER ... ON), type-checked in the post-join env. (The lateral
+  /// expressions must also bind before the ref: FindUnboundLateralExpr.)
   void CheckRefExprs(const TableRef& ref, const TypedEnv& next_env) {
     const std::string& alias = ref.exposure();
     if (ref.kind == TableRefKind::kUnnestValues) {

@@ -54,10 +54,6 @@ struct StoreConfig {
   /// hash for equality lookups, ordered for ranges/prefixes.
   std::vector<std::string> va_hash_indexes;
   std::vector<std::string> va_ordered_indexes;
-  /// Batch-at-a-time SQL execution (sql::Executor::Options::vectorized).
-  /// Off pins every query to the row-at-a-time operators — the differential
-  /// tests run both settings against the same workload.
-  bool vectorized = true;
   /// Durability root (src/wal). When non-empty the store write-ahead-logs
   /// every CRUD mutation into this directory; open/create such a store with
   /// wal::OpenDurableStore and persist it with SqlGraphStore::Checkpoint.

@@ -1056,7 +1056,6 @@ bool StripExplainAnalyzePrefix(std::string_view* text) {
 sql::Executor::Options ExecOptionsFor(const StoreConfig& config,
                                       uint64_t read_ts = 0) {
   sql::Executor::Options options;
-  options.vectorized = config.vectorized;
   options.read_ts = read_ts;
   options.verify_plans = config.verify_plans;
   return options;

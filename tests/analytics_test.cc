@@ -1,19 +1,15 @@
 // Relational graph analytics (graph/analytics.h): PageRank, WCC, and
 // triangle counting validated against straightforward in-memory reference
-// implementations, in both executor modes (vectorized and row-at-a-time).
+// implementations (tests/analytics_reference.h).
 
 #include "graph/analytics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <random>
-#include <set>
-#include <utility>
 #include <vector>
 
+#include "analytics_reference.h"
 #include "graph/property_graph.h"
 #include "gtest/gtest.h"
 #include "sqlgraph/store.h"
@@ -21,75 +17,6 @@
 namespace sqlgraph {
 namespace graph {
 namespace {
-
-using EdgeList = std::vector<std::pair<int64_t, int64_t>>;
-
-/// Reference PageRank matching the analytics semantics: dangling mass
-/// dropped, damping d, base (1-d)/N, fixed iteration count.
-std::map<int64_t, double> ReferencePageRank(int64_t n, const EdgeList& edges,
-                                            const AnalyticsOptions& opts) {
-  std::map<int64_t, double> rank;
-  std::map<int64_t, int64_t> outdeg;
-  for (int64_t v = 0; v < n; ++v) rank[v] = 1.0 / static_cast<double>(n);
-  for (const auto& [s, d] : edges) ++outdeg[s];
-  const double base = (1.0 - opts.damping) / static_cast<double>(n);
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    std::map<int64_t, double> next;
-    for (int64_t v = 0; v < n; ++v) next[v] = base;
-    for (const auto& [s, d] : edges) {
-      next[d] += opts.damping * rank[s] / static_cast<double>(outdeg[s]);
-    }
-    double delta = 0;
-    for (const auto& [v, r] : next) delta += std::fabs(r - rank[v]);
-    rank = std::move(next);
-    if (delta < opts.tolerance) break;
-  }
-  return rank;
-}
-
-/// Reference WCC by union-find.
-std::map<int64_t, int64_t> ReferenceWcc(int64_t n, const EdgeList& edges) {
-  std::vector<int64_t> parent(static_cast<size_t>(n));
-  for (int64_t v = 0; v < n; ++v) parent[static_cast<size_t>(v)] = v;
-  std::function<int64_t(int64_t)> find = [&](int64_t v) -> int64_t {
-    while (parent[static_cast<size_t>(v)] != v) {
-      parent[static_cast<size_t>(v)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(v)])];
-      v = parent[static_cast<size_t>(v)];
-    }
-    return v;
-  };
-  for (const auto& [s, d] : edges) {
-    int64_t a = find(s), b = find(d);
-    if (a != b) parent[static_cast<size_t>(std::max(a, b))] = std::min(a, b);
-  }
-  // Component label = smallest vertex id in the component.
-  std::map<int64_t, int64_t> label;
-  for (int64_t v = 0; v < n; ++v) {
-    int64_t root = find(v);
-    auto it = label.find(root);
-    if (it == label.end() || v < it->second) label[root] = std::min(root, v);
-  }
-  std::map<int64_t, int64_t> out;
-  for (int64_t v = 0; v < n; ++v) out[v] = label[find(v)];
-  return out;
-}
-
-/// Reference triangle count over the canonical undirected edge set.
-int64_t ReferenceTriangles(const EdgeList& edges) {
-  std::set<std::pair<int64_t, int64_t>> canon;
-  for (const auto& [s, d] : edges) {
-    if (s != d) canon.emplace(std::min(s, d), std::max(s, d));
-  }
-  int64_t count = 0;
-  for (const auto& [a, b] : canon) {
-    for (const auto& [a2, c] : canon) {
-      if (a2 != b) continue;  // need edge (b, c) with b < c
-      if (canon.count({a, c})) ++count;
-    }
-  }
-  return count;
-}
 
 /// Random directed multigraph (self-loops and reciprocal edges included, to
 /// exercise the canonicalization in triangle counting).
@@ -107,21 +34,12 @@ PropertyGraph RandomGraph(uint32_t seed, int64_t n, int64_t m,
   return g;
 }
 
-class AnalyticsTest : public ::testing::TestWithParam<bool> {
- protected:
-  AnalyticsOptions Opts() const {
-    AnalyticsOptions opts;
-    opts.vectorized = GetParam();
-    return opts;
-  }
-};
-
-TEST_P(AnalyticsTest, PageRankMatchesReference) {
+TEST(AnalyticsTest, PageRankMatchesReference) {
   EdgeList edges;
   PropertyGraph g = RandomGraph(7, 40, 160, &edges);
   auto store = core::SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  AnalyticsOptions opts = Opts();
+  AnalyticsOptions opts;
   auto pr = PageRank(store->get(), opts);
   ASSERT_TRUE(pr.ok()) << pr.status().ToString();
   std::map<int64_t, double> expect = ReferencePageRank(40, edges, opts);
@@ -132,13 +50,13 @@ TEST_P(AnalyticsTest, PageRankMatchesReference) {
   EXPECT_GT(pr->iterations, 1);
 }
 
-TEST_P(AnalyticsTest, WccMatchesReference) {
+TEST(AnalyticsTest, WccMatchesReference) {
   // Sparse graph so there are several components.
   EdgeList edges;
   PropertyGraph g = RandomGraph(11, 60, 45, &edges);
   auto store = core::SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto wcc = WeaklyConnectedComponents(store->get(), Opts());
+  auto wcc = WeaklyConnectedComponents(store->get());
   ASSERT_TRUE(wcc.ok()) << wcc.status().ToString();
   std::map<int64_t, int64_t> expect = ReferenceWcc(60, edges);
   ASSERT_EQ(wcc->components.size(), expect.size());
@@ -147,52 +65,45 @@ TEST_P(AnalyticsTest, WccMatchesReference) {
   }
 }
 
-TEST_P(AnalyticsTest, TriangleCountMatchesReference) {
+TEST(AnalyticsTest, TriangleCountMatchesReference) {
   EdgeList edges;
   PropertyGraph g = RandomGraph(13, 30, 180, &edges);
   auto store = core::SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto tri = TriangleCount(store->get(), Opts());
+  auto tri = TriangleCount(store->get());
   ASSERT_TRUE(tri.ok()) << tri.status().ToString();
   EXPECT_EQ(*tri, ReferenceTriangles(edges));
   EXPECT_GT(*tri, 0);  // dense 30-vertex graph must contain triangles
 }
 
-TEST_P(AnalyticsTest, EmptyGraph) {
+TEST(AnalyticsTest, EmptyGraph) {
   PropertyGraph g;
   auto store = core::SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto pr = PageRank(store->get(), Opts());
+  auto pr = PageRank(store->get());
   ASSERT_TRUE(pr.ok()) << pr.status().ToString();
   EXPECT_TRUE(pr->ranks.empty());
-  auto wcc = WeaklyConnectedComponents(store->get(), Opts());
+  auto wcc = WeaklyConnectedComponents(store->get());
   ASSERT_TRUE(wcc.ok()) << wcc.status().ToString();
   EXPECT_TRUE(wcc->components.empty());
-  auto tri = TriangleCount(store->get(), Opts());
+  auto tri = TriangleCount(store->get());
   ASSERT_TRUE(tri.ok()) << tri.status().ToString();
   EXPECT_EQ(*tri, 0);
 }
 
-TEST_P(AnalyticsTest, ScratchTablesAreDropped) {
+TEST(AnalyticsTest, ScratchTablesAreDropped) {
   EdgeList edges;
   PropertyGraph g = RandomGraph(17, 10, 20, &edges);
   auto store = core::SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE(PageRank(store->get(), Opts()).ok());
-  ASSERT_TRUE(WeaklyConnectedComponents(store->get(), Opts()).ok());
-  ASSERT_TRUE(TriangleCount(store->get(), Opts()).ok());
+  ASSERT_TRUE(PageRank(store->get()).ok());
+  ASSERT_TRUE(WeaklyConnectedComponents(store->get()).ok());
+  ASSERT_TRUE(TriangleCount(store->get()).ok());
   for (const char* name :
        {"__an_edge", "__an_und", "__an_cedge", "__an_rank", "__an_lbl"}) {
     EXPECT_EQ((*store)->db()->GetTable(name), nullptr) << name;
   }
 }
-
-/// Both executor modes must agree with the references (and therefore with
-/// each other).
-INSTANTIATE_TEST_SUITE_P(Modes, AnalyticsTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Vectorized" : "RowAtATime";
-                         });
 
 }  // namespace
 }  // namespace graph

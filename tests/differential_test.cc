@@ -32,24 +32,12 @@ using core::StoreConfig;
 using graph::PropertyGraph;
 using graph::VertexId;
 
-/// Trials per seed: 25 locally (10 seeds → 250 cases), CI sets
+/// Trials per seed: 25 locally (16 seeds → 400 cases), CI sets
 /// SQLGRAPH_DIFF_TRIALS to push each seed harder.
 int TrialsPerSeed() {
   const char* env = std::getenv("SQLGRAPH_DIFF_TRIALS");
   if (env != nullptr && std::atoi(env) > 0) return std::atoi(env);
   return 25;
-}
-
-/// Store config for the differential stores. ci/check.sh's
-/// plan-verification gate sets SQLGRAPH_VERIFY_PLANS=1 to force
-/// sql/verify.h on regardless of build type (Debug already defaults on):
-/// every randomly generated pipeline must verify with zero false
-/// rejections, since a rejection surfaces as an oracle mismatch here.
-StoreConfig DiffStoreConfig() {
-  StoreConfig config;
-  const char* env = std::getenv("SQLGRAPH_VERIFY_PLANS");
-  if (env != nullptr && std::atoi(env) > 0) config.verify_plans = true;
-  return config;
 }
 
 const char* kEdgeLabels[] = {
@@ -195,39 +183,12 @@ void RunDifferentialTrials(SqlGraphStore* store, baseline::GraphDb* native,
   }
 }
 
-/// Three-way executor-mode oracle: the same pipeline through the vectorized
-/// SQL executor, the row-at-a-time SQL executor (StoreConfig::vectorized
-/// off), and the native interpreter. The two SQL modes must agree with the
-/// interpreter — and therefore with each other — on every multiset.
-void RunExecutorModeTrials(SqlGraphStore* vec_store, SqlGraphStore* row_store,
-                           baseline::GraphDb* native, util::Rng* rng,
-                           size_t num_vertices, int trials, const char* tag) {
-  gremlin::GremlinRuntime vec_runtime(vec_store);
-  gremlin::GremlinRuntime row_runtime(row_store);
-  baseline::GremlinInterpreter interp(native);
-  for (int trial = 0; trial < trials; ++trial) {
-    bool is_count = false;
-    const std::string q = RandomTable8Pipeline(rng, num_vertices, &is_count);
-    bool vec_ok = false, row_ok = false, interp_ok = false;
-    const std::multiset<int64_t> vec = SqlVals(&vec_runtime, q, &vec_ok);
-    const std::multiset<int64_t> row = SqlVals(&row_runtime, q, &row_ok);
-    const std::multiset<int64_t> ref = InterpVals(&interp, q, &interp_ok);
-    ASSERT_TRUE(vec_ok) << tag << " trial " << trial << " (vectorized): " << q;
-    ASSERT_TRUE(row_ok) << tag << " trial " << trial << " (row mode): " << q;
-    ASSERT_TRUE(interp_ok) << tag << " trial " << trial << ": " << q;
-    EXPECT_EQ(vec, row) << tag << " trial " << trial
-                        << " (vectorized vs row-at-a-time): " << q;
-    EXPECT_EQ(vec, ref) << tag << " trial " << trial
-                        << " (vectorized vs interpreter): " << q;
-  }
-}
-
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DifferentialTest, SqlTranslationMatchesInterpreterMultisets) {
   util::Rng rng(0xD1FF + static_cast<uint64_t>(GetParam()) * 6700417);
   PropertyGraph g = RandomGraph(&rng);
-  StoreConfig config = DiffStoreConfig();
+  StoreConfig config;
   config.va_hash_indexes = {"genre"};
   auto store = SqlGraphStore::Build(g, config);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -237,33 +198,7 @@ TEST_P(DifferentialTest, SqlTranslationMatchesInterpreterMultisets) {
                         TrialsPerSeed(), "random-graph");
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 10));
-
-// Executor-mode differential: two stores over the same graph, one per
-// Options::vectorized setting, against the interpreter oracle.
-class ExecutorModeDifferentialTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExecutorModeDifferentialTest, VectorizedMatchesRowAtATimeMultisets) {
-  util::Rng rng(0xBA7C4 + static_cast<uint64_t>(GetParam()) * 15485863);
-  PropertyGraph g = RandomGraph(&rng);
-  StoreConfig vec_config = DiffStoreConfig();
-  vec_config.va_hash_indexes = {"genre"};
-  vec_config.vectorized = true;
-  StoreConfig row_config = vec_config;
-  row_config.vectorized = false;
-  auto vec_store = SqlGraphStore::Build(g, vec_config);
-  ASSERT_TRUE(vec_store.ok()) << vec_store.status().ToString();
-  auto row_store = SqlGraphStore::Build(g, row_config);
-  ASSERT_TRUE(row_store.ok()) << row_store.status().ToString();
-  auto native = baseline::NativeStore::Build(g);
-  ASSERT_TRUE(native.ok());
-  RunExecutorModeTrials(vec_store->get(), row_store->get(), native->get(),
-                        &rng, g.NumVertices(), TrialsPerSeed(),
-                        "executor-mode");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorModeDifferentialTest,
-                         ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 16));
 
 // ----------------------------- transaction-snapshot differential oracle --
 
@@ -286,78 +221,55 @@ std::multiset<int64_t> ValsOf(const sql::ResultSet& rs, bool* ok) {
 // transaction begun at that same state — AFTER further autocommit writes
 // have moved the live tables. The snapshot run must reproduce (a) exactly:
 // any MVCC visibility leak in scans, templates, or index lookups shows up
-// as a multiset mismatch. Both executor modes run the same protocol.
+// as a multiset mismatch.
 class TxnSnapshotDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TxnSnapshotDifferentialTest, SnapshotSqlMatchesPreMutationAutocommit) {
   util::Rng rng(0x7A9CF + static_cast<uint64_t>(GetParam()) * 32452843);
   PropertyGraph g = RandomGraph(&rng);
-  StoreConfig vec_config = DiffStoreConfig();
-  vec_config.va_hash_indexes = {"genre"};
-  vec_config.vectorized = true;
-  StoreConfig row_config = vec_config;
-  row_config.vectorized = false;
-  auto vec_store = SqlGraphStore::Build(g, vec_config);
-  ASSERT_TRUE(vec_store.ok()) << vec_store.status().ToString();
-  auto row_store = SqlGraphStore::Build(g, row_config);
-  ASSERT_TRUE(row_store.ok()) << row_store.status().ToString();
-  gremlin::GremlinRuntime vec_runtime(vec_store->get());
+  StoreConfig config;
+  config.va_hash_indexes = {"genre"};
+  auto store = SqlGraphStore::Build(g, config);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  gremlin::GremlinRuntime runtime(store->get());
   const size_t n = g.NumVertices();
 
-  // Both stores receive identical mutation streams, so they stay equal and
-  // edge ids stay aligned across trials.
-  auto mutate_both = [&](util::Rng* r) {
+  auto mutate = [&](util::Rng* r) {
     const auto vid = static_cast<VertexId>(r->Uniform(n));
     const json::JsonValue w(static_cast<int64_t>(r->Uniform(10)));
-    ASSERT_TRUE((*vec_store)->SetVertexAttr(vid, "w", w).ok());
-    ASSERT_TRUE((*row_store)->SetVertexAttr(vid, "w", w).ok());
+    ASSERT_TRUE((*store)->SetVertexAttr(vid, "w", w).ok());
     const auto src = static_cast<VertexId>(r->Uniform(n));
     const auto dst = static_cast<VertexId>(r->Uniform(n));
     const char* label = kEdgeLabels[r->Uniform(3)];
-    auto e1 = (*vec_store)->AddEdge(src, dst, label, json::JsonValue::Object());
-    auto e2 = (*row_store)->AddEdge(src, dst, label, json::JsonValue::Object());
-    ASSERT_TRUE(e1.ok() && e2.ok());
-    ASSERT_EQ(*e1, *e2);
+    ASSERT_TRUE(
+        (*store)->AddEdge(src, dst, label, json::JsonValue::Object()).ok());
   };
 
   const int trials = TrialsPerSeed();
   for (int trial = 0; trial < trials; ++trial) {
     bool is_count = false;
     const std::string q = RandomTable8Pipeline(&rng, n, &is_count);
-    // Inline-constant SQL so the exact same text runs on every path.
-    auto sql = vec_runtime.TranslateToSql(q);
+    // Inline-constant SQL so the exact same text runs on both paths.
+    auto sql = runtime.TranslateToSql(q);
     ASSERT_TRUE(sql.ok()) << "trial " << trial << ": " << q;
 
     bool ok = false;
-    auto vec_auto = (*vec_store)->ExecuteSql(*sql);
-    ASSERT_TRUE(vec_auto.ok()) << "trial " << trial << ": " << q << "\n"
-                               << vec_auto.status().ToString();
-    const std::multiset<int64_t> want_vec = ValsOf(*vec_auto, &ok);
+    auto autocommit = (*store)->ExecuteSql(*sql);
+    ASSERT_TRUE(autocommit.ok()) << "trial " << trial << ": " << q << "\n"
+                                 << autocommit.status().ToString();
+    const std::multiset<int64_t> want = ValsOf(*autocommit, &ok);
     ASSERT_TRUE(ok) << q;
-    auto row_auto = (*row_store)->ExecuteSql(*sql);
-    ASSERT_TRUE(row_auto.ok()) << "trial " << trial << ": " << q;
-    const std::multiset<int64_t> want_row = ValsOf(*row_auto, &ok);
-    ASSERT_TRUE(ok) << q;
-    EXPECT_EQ(want_vec, want_row)
-        << "executor modes disagree, trial " << trial << ": " << q;
 
-    // Pin snapshots, then move the live tables out from under them.
-    auto vec_txn = (*vec_store)->BeginTxn();
-    auto row_txn = (*row_store)->BeginTxn();
-    mutate_both(&rng);
+    // Pin a snapshot, then move the live tables out from under it.
+    auto txn = (*store)->BeginTxn();
+    mutate(&rng);
 
-    auto vec_snap = vec_txn->ExecuteSql(*sql);
-    ASSERT_TRUE(vec_snap.ok()) << "trial " << trial << " (txn): " << q << "\n"
-                               << vec_snap.status().ToString();
-    EXPECT_EQ(ValsOf(*vec_snap, &ok), want_vec)
-        << "vectorized snapshot diverged, trial " << trial << ": " << q;
-    auto row_snap = row_txn->ExecuteSql(*sql);
-    ASSERT_TRUE(row_snap.ok()) << "trial " << trial << " (txn): " << q;
-    EXPECT_EQ(ValsOf(*row_snap, &ok), want_row)
-        << "row-mode snapshot diverged, trial " << trial << ": " << q;
-
-    ASSERT_TRUE(vec_txn->Rollback().ok());
-    ASSERT_TRUE(row_txn->Rollback().ok());
+    auto snap = txn->ExecuteSql(*sql);
+    ASSERT_TRUE(snap.ok()) << "trial " << trial << " (txn): " << q << "\n"
+                           << snap.status().ToString();
+    EXPECT_EQ(ValsOf(*snap, &ok), want)
+        << "snapshot diverged, trial " << trial << ": " << q;
+    ASSERT_TRUE(txn->Rollback().ok());
   }
 }
 
@@ -375,7 +287,7 @@ TEST_P(DbpediaDifferentialTest, SqlTranslationMatchesInterpreterMultisets) {
   gen_config.seed = 20150531 + static_cast<uint64_t>(GetParam());
   PropertyGraph g = graph::DbpediaGenerator(gen_config).Generate();
   ASSERT_GT(g.NumVertices(), 0u);
-  StoreConfig config = DiffStoreConfig();
+  StoreConfig config;
   config.va_hash_indexes = {"genre"};
   auto store = SqlGraphStore::Build(g, config);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -396,7 +308,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DbpediaDifferentialTest,
 // vertices, so every table has sealed pages besides its unsealed tail.
 void RunPagedDifferentialTrials(const PropertyGraph& g, util::Rng* rng,
                                 const char* tag) {
-  StoreConfig config = DiffStoreConfig();
+  StoreConfig config;
   config.va_hash_indexes = {"genre"};
   config.storage = rel::StorageMode::kPaged;
   auto store = SqlGraphStore::Build(g, config);
@@ -442,7 +354,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PagedDifferentialTest, ::testing::Range(0, 4));
 TEST(DifferentialSoftDeleteTest, EnginesAgreeAfterDeletesAndCompact) {
   util::Rng rng(0x5073DE1);
   PropertyGraph g = RandomGraph(&rng);
-  StoreConfig config = DiffStoreConfig();
+  StoreConfig config;
   config.va_hash_indexes = {"genre"};
   auto store = SqlGraphStore::Build(g, config);
   ASSERT_TRUE(store.ok());

@@ -1,6 +1,8 @@
 // Tests for src/graph: property graph model, RDF conversion, generators.
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "graph/dbpedia_gen.h"
 #include "graph/linkbench_gen.h"
@@ -247,6 +249,21 @@ TEST(LinkBenchGenTest, DegreeSkew) {
   }
   // Zipf destinations → clear hot spots.
   EXPECT_GT(max_in, 5 * cfg.avg_degree);
+}
+
+TEST(LinkBenchGenTest, NoLinkKeyRepeats) {
+  // LinkBench keys a link by (id1, link type, id2); the Zipf-skewed draws
+  // repeat keys often at this size, and each repeat must be skipped.
+  LinkBenchConfig cfg;
+  cfg.num_objects = 50000;
+  PropertyGraph g = GenerateLinkBenchGraph(cfg);
+  std::set<std::tuple<VertexId, std::string, VertexId>> keys;
+  for (const auto& e : g.edges()) {
+    EXPECT_TRUE(keys.emplace(e.src, e.label, e.dst).second)
+        << e.src << " " << e.label << " " << e.dst;
+  }
+  EXPECT_EQ(keys.size(), g.NumEdges());
+  EXPECT_GT(g.NumEdges(), 4 * cfg.num_objects);
 }
 
 TEST(LinkBenchWorkloadTest, MixMatchesTable6) {

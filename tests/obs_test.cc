@@ -319,74 +319,102 @@ TEST(ExplainAnalyzeTest, GremlinRowsMatchActualResults) {
 }
 
 TEST(ExplainAnalyzeTest, BatchedExecutorKeepsSpanRowsAndPipeMapping) {
-  // Regression for the vectorized executor: EXPLAIN ANALYZE must attribute
-  // the same operators with the same per-operator row counts as the
-  // row-at-a-time executor — seq-scan spans count scanned (not surviving)
-  // rows, join spans count emitted rows — and the Gremlin pipe mapping must
-  // survive batching untouched.
-  StoreConfig vec_config;
-  vec_config.va_hash_indexes = {"kind"};
-  vec_config.vectorized = true;
-  StoreConfig row_config = vec_config;
-  row_config.vectorized = false;
-  auto vec_store = SqlGraphStore::Build(HubGraph(8), vec_config);
-  ASSERT_TRUE(vec_store.ok());
-  auto row_store = SqlGraphStore::Build(HubGraph(8), row_config);
-  ASSERT_TRUE(row_store.ok());
+  // EXPLAIN ANALYZE attributes each operator with its row count — seq-scan
+  // spans count scanned (not surviving) rows, join spans count emitted
+  // rows — and maps the spans onto Gremlin pipes. The expected spans are
+  // the ones the row-at-a-time executor this engine had before reported.
+  StoreConfig config;
+  config.va_hash_indexes = {"kind"};
+  auto store = SqlGraphStore::Build(HubGraph(8), config);
+  ASSERT_TRUE(store.ok());
 
-  const char* sql_queries[] = {
-      // Seq scan + residual filter: the scan span reports all rows scanned.
-      "explain analyze SELECT * FROM EA WHERE LBL = 'rel'",
-      // Hash join + aggregate (no index on the derived CTE).
-      "explain analyze WITH deg AS (SELECT INV AS V FROM EA) "
-      "SELECT e.INV, COUNT(*) FROM EA e, VA v WHERE v.VID = e.INV "
-      "GROUP BY e.INV",
+  struct Span {
+    const char* stage;
+    const char* op;
+    int64_t rows;
   };
-  for (const char* q : sql_queries) {
-    auto vec = (*vec_store)->ExecuteSql(q);
-    ASSERT_TRUE(vec.ok()) << q << ": " << vec.status().ToString();
-    auto row = (*row_store)->ExecuteSql(q);
-    ASSERT_TRUE(row.ok()) << q << ": " << row.status().ToString();
-    ASSERT_EQ(vec->rows.size(), row->rows.size()) << q;
-    for (size_t i = 0; i < vec->rows.size(); ++i) {
-      // (stage, operator, rows) identical; time_ms may differ.
-      EXPECT_EQ(vec->rows[i][0], row->rows[i][0]) << q << " span " << i;
-      EXPECT_EQ(vec->rows[i][1], row->rows[i][1]) << q << " span " << i;
-      EXPECT_EQ(vec->rows[i][2], row->rows[i][2])
-          << q << " span " << i << " (" << vec->rows[i][1].AsString() << ")";
+  struct SqlCase {
+    const char* sql;
+    std::vector<Span> spans;
+  };
+  const SqlCase sql_cases[] = {
+      // Seq scan + residual filter: the scan span reports all rows scanned.
+      {"explain analyze SELECT * FROM EA WHERE LBL = 'rel'",
+       {{"final", "seq scan EA", 8}}},
+      // A CTE scan, then an index nested-loop join and an aggregate.
+      {"explain analyze WITH deg AS (SELECT INV AS V FROM EA) "
+       "SELECT e.INV, COUNT(*) FROM EA e, VA v WHERE v.VID = e.INV "
+       "GROUP BY e.INV",
+       {{"deg", "seq scan EA", 8},
+        {"final", "seq scan EA", 8},
+        {"final", "index nested-loop join VA via VA_PK", 8},
+        {"final", "aggregate", 1}}},
+  };
+  for (const SqlCase& c : sql_cases) {
+    auto got = (*store)->ExecuteSql(c.sql);
+    ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status().ToString();
+    ASSERT_EQ(got->rows.size(), c.spans.size()) << c.sql;
+    for (size_t i = 0; i < c.spans.size(); ++i) {
+      // (stage, operator, rows); time_ms varies.
+      EXPECT_EQ(got->rows[i][0].AsString(), c.spans[i].stage) << c.sql;
+      EXPECT_EQ(got->rows[i][1].AsString(), c.spans[i].op) << c.sql;
+      EXPECT_EQ(got->rows[i][2].AsInt(), c.spans[i].rows)
+          << c.sql << " span " << c.spans[i].op;
     }
   }
 
-  // Gremlin pipe attribution: same pipes, same span ops/rows/contexts in
-  // both modes on a multi-pipe Table-8 pipeline.
-  gremlin::GremlinRuntime vec_runtime(vec_store->get());
-  gremlin::GremlinRuntime row_runtime(row_store->get());
-  const char* pipelines[] = {
-      "g.V.has('kind','hub').out().dedup().count()",
-      "g.V(0).outE('rel').inV().dedup().count()",
+  // Gremlin pipe attribution on multi-pipe Table-8 pipelines: per pipe, its
+  // row count and its spans as (context, op, rows).
+  struct Pipe {
+    uint64_t rows;
+    std::vector<Span> spans;
   };
-  for (const char* q : pipelines) {
-    auto vec = vec_runtime.ExplainAnalyze(q);
-    ASSERT_TRUE(vec.ok()) << q << ": " << vec.status().ToString();
-    auto row = row_runtime.ExplainAnalyze(q);
-    ASSERT_TRUE(row.ok()) << q << ": " << row.status().ToString();
-    ASSERT_EQ(vec->pipes.size(), row->pipes.size()) << q;
-    for (size_t p = 0; p < vec->pipes.size(); ++p) {
-      EXPECT_EQ(vec->pipes[p].rows, row->pipes[p].rows) << q << " pipe " << p;
-      ASSERT_EQ(vec->pipes[p].spans.size(), row->pipes[p].spans.size())
-          << q << " pipe " << p;
-      for (size_t s = 0; s < vec->pipes[p].spans.size(); ++s) {
-        EXPECT_EQ(vec->pipes[p].spans[s].op, row->pipes[p].spans[s].op)
-            << q << " pipe " << p << " span " << s;
-        EXPECT_EQ(vec->pipes[p].spans[s].rows, row->pipes[p].spans[s].rows)
-            << q << " pipe " << p << " span "
-            << vec->pipes[p].spans[s].op;
-        EXPECT_EQ(vec->pipes[p].spans[s].context,
-                  row->pipes[p].spans[s].context)
-            << q << " pipe " << p << " span " << s;
+  struct GremlinCase {
+    const char* gremlin;
+    std::vector<Pipe> pipes;
+  };
+  const GremlinCase gremlin_cases[] = {
+      {"g.V.has('kind','hub').out().dedup().count()",
+       {{1, {{"TEMP_1", "JSON index lookup VA via VA_ATTR_kind", 1}}},
+        {0, {}},
+        {8,
+         {{"TEMP_2", "scan v", 1},
+          {"TEMP_2", "index nested-loop join EA via EA_INV", 8}}},
+        {8, {{"TEMP_3", "scan v", 8}}},
+        {0, {}}}},
+      {"g.V(0).outE('rel').inV().dedup().count()",
+       {{1, {{"TEMP_1", "index lookup VA via VA_PK", 1}}},
+        {8,
+         {{"TEMP_2", "scan v", 1},
+          {"TEMP_2", "index nested-loop join EA via EA_INV_LBL", 8}}},
+        {8,
+         {{"TEMP_3", "scan v", 8},
+          {"TEMP_3", "index nested-loop join EA via EA_PK", 8}}},
+        {8, {{"TEMP_4", "scan v", 8}}},
+        {0, {}}}},
+  };
+  gremlin::GremlinRuntime runtime(store->get());
+  for (const GremlinCase& c : gremlin_cases) {
+    auto got = runtime.ExplainAnalyze(c.gremlin);
+    ASSERT_TRUE(got.ok()) << c.gremlin << ": " << got.status().ToString();
+    ASSERT_EQ(got->pipes.size(), c.pipes.size()) << c.gremlin;
+    for (size_t p = 0; p < c.pipes.size(); ++p) {
+      EXPECT_EQ(got->pipes[p].rows, c.pipes[p].rows)
+          << c.gremlin << " pipe " << p;
+      ASSERT_EQ(got->pipes[p].spans.size(), c.pipes[p].spans.size())
+          << c.gremlin << " pipe " << p;
+      for (size_t s = 0; s < c.pipes[p].spans.size(); ++s) {
+        const auto& span = got->pipes[p].spans[s];
+        EXPECT_EQ(span.context, c.pipes[p].spans[s].stage)
+            << c.gremlin << " pipe " << p << " span " << s;
+        EXPECT_EQ(span.op, c.pipes[p].spans[s].op)
+            << c.gremlin << " pipe " << p << " span " << s;
+        EXPECT_EQ(static_cast<int64_t>(span.rows), c.pipes[p].spans[s].rows)
+            << c.gremlin << " pipe " << p << " span " << span.op;
       }
     }
-    EXPECT_EQ(vec->result.rows, row->result.rows) << q;
+    ASSERT_EQ(got->result.rows.size(), 1u) << c.gremlin;
+    EXPECT_EQ(got->result.rows[0][0].AsInt(), 8) << c.gremlin;
   }
 }
 
