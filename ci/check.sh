@@ -4,11 +4,12 @@
 # with elevated trials, a metrics-overhead guard (enabled vs disabled
 # registry on the micro-op benchmarks, budget 5%), an analytics smoke stage
 # (bench_analytics --quick --check: PageRank, WCC and triangle counting
-# through SQL must match their in-memory references), a paged LinkBench
-# stage (perfbench linkbench_paged for two seconds: shadow check,
-# CheckConsistency() and WAL reopen over a paged store), a DBpedia
-# Gremlin stage (perfbench dbpedia for two seconds: every Fig-8a/Table-1
-# answer checked against the interpreter), a concurrency flake gate (the
+# through SQL must match their in-memory references), a perfbench answer
+# stage (each of dbpedia, linkbench and linkbench_paged for two seconds:
+# every Fig-8a/Table-1 answer checked against the interpreter; every
+# LinkBench request checked against a shadow store, then
+# CheckConsistency() and WAL reopen, over a resident and a paged store),
+# a concurrency flake gate (the
 # Concurrent/Torture/StoreWorkload tests repeated until fail, up to 50
 # times), a schedule-exploration stage (the
 # util/sched deterministic explorer suites at an elevated PCT trial count),
@@ -129,35 +130,25 @@ if [[ "${1:-}" != "--fast" ]]; then
   cmake --build build -j "$(nproc)" --target bench_analytics
   ./build/bench/bench_analytics --quick --check
 
-  echo "== paged LinkBench shadow check (perfbench linkbench_paged) =="
-  # The repository benchmark's linkbench_paged workload checks every request
-  # against a NativeStore shadow, then runs CheckConsistency() and reopens
-  # the WAL and compares it row by row, all over a paged store whose buffer
-  # pool is smaller than the store. A two-second run puts those checks in
-  # CI. The last stdout line is the JSON result: it must report
-  # "correct": true and "failed": 0.
-  paged_result="$(python3 perfbench/run.py --workload linkbench_paged \
-    --seed 7 --seconds 2 --trace 0 | tail -n 1)"
-  echo "  $paged_result"
-  python3 -c 'import json, sys
-r = json.loads(sys.argv[1])
-sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
-    "$paged_result"
-
-  echo "== DBpedia Gremlin answers vs interpreter (perfbench dbpedia) =="
-  # The repository benchmark's dbpedia workload checks every answer of the
-  # 20 Fig-8a and 11 Table-1 Gremlin queries against the pipe-at-a-time
+  echo "== perfbench answer checks (dbpedia, linkbench, linkbench_paged) =="
+  # Each repository benchmark workload checks its own answers: dbpedia
+  # checks every Fig-8a/Table-1 Gremlin answer against the pipe-at-a-time
   # interpreter over a NativeStore (and the Table-2 SQL counts against the
-  # generated graph), at warm-up and on every timed run. A two-second run
-  # puts the batched CTE chain's answers in CI; the last stdout line must
-  # report "correct": true and "failed": 0.
-  dbpedia_result="$(python3 perfbench/run.py --workload dbpedia \
-    --seed 7 --seconds 2 --trace 0 | tail -n 1)"
-  echo "  $dbpedia_result"
-  python3 -c 'import json, sys
+  # generated graph); linkbench and linkbench_paged check every request
+  # against a NativeStore shadow, then run CheckConsistency() and reopen the
+  # WAL and compare it row by row, over a resident store and over a paged
+  # store whose buffer pool is smaller than the store. A two-second run of
+  # each puts those checks in CI. The last stdout line is the JSON result:
+  # it must report "correct": true and "failed": 0.
+  for workload in dbpedia linkbench linkbench_paged; do
+    result="$(python3 perfbench/run.py --workload "${workload}" \
+      --seed 7 --seconds 2 --trace 0 | tail -n 1)"
+    echo "  ${workload}: ${result}"
+    python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
-    "$dbpedia_result"
+      "${result}"
+  done
 
   echo "== lint (module layering) =="
   # Pure-text lint: every cross-module #include edge under src/ must

@@ -129,7 +129,7 @@ void ColumnVector::MaterializeConstant() {
   }
 }
 
-void ColumnVector::Append(const Value& v) {
+void ColumnVector::AppendSlow(const Value& v) {
   if (constant_) MaterializeConstant();
   if (v.is_null()) {
     AppendNull();
@@ -315,11 +315,6 @@ void ColumnBatch::AppendProjected(const Row& full,
   for (size_t c = 0; c < projection.size(); ++c) {
     cols[c].Append(full[static_cast<size_t>(projection[c])]);
   }
-  ++num_rows;
-}
-
-void ColumnBatch::AppendRowFrom(const ColumnBatch& src, size_t i) {
-  for (size_t c = 0; c < cols.size(); ++c) cols[c].AppendFrom(src.cols[c], i);
   ++num_rows;
 }
 

@@ -12,6 +12,11 @@
 // Literal operands broadcast as constant columns (one physical element,
 // logical length n). Filters communicate through selection vectors —
 // std::vector<uint32_t> of surviving row indexes — applied with Gather().
+//
+// Index probes and scans fill batches one stored value at a time
+// (RowStore::AppendProjected); ColumnVector::Append takes a value whose type
+// matches the column's fixed int64 or string storage inline, and leaves
+// retagging, promotion and the other types out of line.
 
 #ifndef SQLGRAPH_REL_COLUMN_BATCH_H_
 #define SQLGRAPH_REL_COLUMN_BATCH_H_
@@ -49,7 +54,23 @@ class ColumnVector {
   void Reserve(size_t n);
   void Clear();
 
-  void Append(const Value& v);
+  void Append(const Value& v) {
+    if (typed_ && !constant_) {
+      if (tag_ == Tag::kInt64 && v.is_int()) {
+        nulls_.push_back(0);
+        ints_.push_back(v.AsInt());
+        ++size_;
+        return;
+      }
+      if (tag_ == Tag::kString && v.is_string()) {
+        nulls_.push_back(0);
+        strings_.push_back(v.AsString());
+        ++size_;
+        return;
+      }
+    }
+    AppendSlow(v);
+  }
   void AppendNull();
   /// Appends row `i` of `src` (cheap when the tags already agree).
   void AppendFrom(const ColumnVector& src, size_t i);
@@ -74,6 +95,8 @@ class ColumnVector {
 
  private:
   size_t phys(size_t i) const { return constant_ ? 0 : i; }
+  /// Append for every case the inline fast path does not take.
+  void AppendSlow(const Value& v);
   /// Switches an all-NULL column to `t` storage.
   void Retag(Tag t);
   /// Reboxes every row into Value storage (mixed-type column).
@@ -109,8 +132,6 @@ struct ColumnBatch {
   /// Appends `full` through a column projection (empty = identity): the
   /// executor's projection pushdown, with no intermediate Row.
   void AppendProjected(const Row& full, const std::vector<int>& projection);
-  /// Appends row `i` of `src` column by column.
-  void AppendRowFrom(const ColumnBatch& src, size_t i);
   /// Appends rows `sel[*]` of `src`.
   void AppendGather(const ColumnBatch& src, const std::vector<uint32_t>& sel);
   /// Appends every row of `src` (UNION ALL); `src` must have as many

@@ -1,8 +1,25 @@
 // Secondary indexes: hash (equality) and ordered (equality + range).
+//
+// A HashIndex keeps every one-part integral key (an int64, or a double with
+// an integral value inside the int64 range) in a flat open-addressing table
+// of raw int64 keys, each slot holding its key and RowId list; that covers
+// the VID/EID/VALID columns every adjacency join probes. LookupInt probes it
+// without boxing the key. Every other key -- composite keys, strings, NULL,
+// bool, non-integral doubles, JSON documents -- stays in a node map keyed
+// by IndexKey.
+//
+// Equality is Value::Compare's (int 3 matches double 3.0; a non-integral
+// double, a bool or NULL never matches an int), with one deliberate
+// exception beyond 2^53, where Compare's int-vs-double equality is not
+// transitive (int 2^53+1 and int 2^53 both "equal" double 2^53): a double
+// key matches only the int key of exactly its integral value, so double
+// 2^53 finds int 2^53 but not int 2^53+1. Doubles at or beyond +-2^63 never
+// match an int key.
 
 #ifndef SQLGRAPH_REL_INDEX_H_
 #define SQLGRAPH_REL_INDEX_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,6 +57,14 @@ class Index {
 
   /// Appends matching RowIds to `*out`.
   virtual void Lookup(const IndexKey& key, std::vector<RowId>* out) const = 0;
+
+  /// Lookup of the one-part key `key`; the hash index answers it without
+  /// building an IndexKey.
+  virtual void LookupInt(int64_t key, std::vector<RowId>* out) const {
+    IndexKey k;
+    k.parts.emplace_back(key);
+    Lookup(k, out);
+  }
 
   /// Number of distinct keys (used for cardinality estimates).
   virtual size_t NumDistinctKeys() const = 0;
@@ -84,10 +109,26 @@ class HashIndex : public Index {
   util::Status Insert(const IndexKey& key, RowId rid) override;
   void Remove(const IndexKey& key, RowId rid) override;
   void Lookup(const IndexKey& key, std::vector<RowId>* out) const override;
-  size_t NumDistinctKeys() const override { return map_.size(); }
+  void LookupInt(int64_t key, std::vector<RowId>* out) const override;
+  size_t NumDistinctKeys() const override {
+    return map_.size() + int_keys_;
+  }
   size_t NumEntries() const override { return entries_; }
 
  private:
+  // One slot of the int64 table; an empty `rids` marks a vacant slot.
+  struct IntSlot {
+    int64_t key = 0;
+    std::vector<RowId> rids;
+  };
+
+  // Slot of `key`, or of the vacant slot ending its probe chain.
+  size_t FindSlot(int64_t key) const;
+  // Doubles the table (from 16 slots) and reinserts every key.
+  void Grow();
+
+  std::vector<IntSlot> int_slots_;  // linear probing; size a power of two
+  size_t int_keys_ = 0;
   std::unordered_map<IndexKey, std::vector<RowId>, IndexKeyHash> map_;
   size_t entries_ = 0;
 };

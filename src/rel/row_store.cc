@@ -5,20 +5,6 @@
 namespace sqlgraph {
 namespace rel {
 
-namespace {
-
-/// Appends columns `projection` of `row` (all of them when empty) to `*out`.
-void AppendColumns(const Row& row, const std::vector<int>& projection,
-                   Row* out) {
-  if (projection.empty()) {
-    out->insert(out->end(), row.begin(), row.end());
-    return;
-  }
-  for (int c : projection) out->push_back(row[static_cast<size_t>(c)]);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- Vector --
 
 RowId VectorRowStore::Append(Row row) {
@@ -28,13 +14,13 @@ RowId VectorRowStore::Append(Row row) {
   return rows_.size() - 1;
 }
 
-util::Status VectorRowStore::GetProjected(RowId rid,
-                                          const std::vector<int>& projection,
-                                          Row* out) const {
+util::Status VectorRowStore::Read(RowId rid,
+                                  const std::vector<int>& projection,
+                                  const RowSink& sink) const {
   if (rid >= rows_.size() || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
-  AppendColumns(rows_[rid], projection, out);
+  sink.Append(rows_[rid], projection);
   return util::Status::OK();
 }
 
@@ -174,23 +160,29 @@ void PagedRowStore::WriteSlot(RowId rid, Row row) {
                 std::make_shared<const PageFrame>(blob));
 }
 
-util::Status PagedRowStore::GetProjected(RowId rid,
-                                         const std::vector<int>& projection,
-                                         Row* out) const {
+util::Status PagedRowStore::Read(RowId rid,
+                                 const std::vector<int>& projection,
+                                 const RowSink& sink) const {
   if (rid >= num_rows_ || !live_[rid]) {
     return util::Status::NotFound("row " + std::to_string(rid));
   }
   const size_t page_index = rid / rows_per_page_;
   if (page_index >= page_blobs_.size()) {
     // Row still in the unsealed tail.
-    AppendColumns(tail_[rid - page_blobs_.size() * rows_per_page_],
-                  projection, out);
+    sink.Append(tail_[rid - page_blobs_.size() * rows_per_page_], projection);
     return util::Status::OK();
   }
   const auto frame = FetchFrame(static_cast<uint32_t>(page_index));
   size_t offset = row_offsets_[rid];
-  return DecodeRowProjected(frame->bytes, num_columns_, &offset, projection,
-                            out);
+  if (sink.row() != nullptr) {
+    return DecodeRowProjected(frame->bytes, num_columns_, &offset, projection,
+                              sink.row());
+  }
+  Row decoded;
+  RETURN_NOT_OK(DecodeRowProjected(frame->bytes, num_columns_, &offset,
+                                   projection, &decoded));
+  sink.Append(decoded, {});
+  return util::Status::OK();
 }
 
 util::Status PagedRowStore::Update(RowId rid, Row row) {

@@ -10,6 +10,15 @@
 //
 // RowIds are dense append positions; deletion tombstones a slot, it is never
 // reused (matching the paper's soft-delete design).
+//
+// Each store implements one read, Read(rid, projection, sink), and the
+// other read forms are non-virtual wrappers over it: Get fills a Row,
+// AppendProjected adds one row to a ColumnBatch. The resident
+// store appends each projected value straight from its stored row into the
+// destination -- for a batch, into the typed column, with no Row in
+// between -- which is the fetch half of every index nested-loop join. The
+// paged store decodes the projected columns of a sealed row into a scratch
+// Row first (or straight into a Row destination).
 
 #ifndef SQLGRAPH_REL_ROW_STORE_H_
 #define SQLGRAPH_REL_ROW_STORE_H_
@@ -22,6 +31,7 @@
 
 #include "rel/buffer_pool.h"
 #include "rel/codec.h"
+#include "rel/column_batch.h"
 #include "rel/value.h"
 #include "util/status.h"
 
@@ -30,6 +40,32 @@ namespace rel {
 
 using RowId = uint64_t;
 
+/// Where a RowStore read puts the columns it reads: appended to a Row
+/// after what it already holds, or as one new row of a ColumnBatch.
+class RowSink {
+ public:
+  explicit RowSink(Row* row) : row_(row) {}
+  explicit RowSink(ColumnBatch* batch) : batch_(batch) {}
+
+  /// The Row destination, or nullptr for a batch.
+  Row* row() const { return row_; }
+
+  /// Appends columns `projection` of `full` (every column when empty).
+  void Append(const Row& full, const std::vector<int>& projection) const {
+    if (batch_ != nullptr) {
+      batch_->AppendProjected(full, projection);
+    } else if (projection.empty()) {
+      row_->insert(row_->end(), full.begin(), full.end());
+    } else {
+      for (int c : projection) row_->push_back(full[static_cast<size_t>(c)]);
+    }
+  }
+
+ private:
+  Row* row_ = nullptr;
+  ColumnBatch* batch_ = nullptr;
+};
+
 class RowStore {
  public:
   virtual ~RowStore() = default;
@@ -37,20 +73,26 @@ class RowStore {
   /// Appends a row; returns its RowId.
   virtual RowId Append(Row row) = 0;
 
-  /// Copies the row at `rid` into `*out`. Fails for tombstoned/bad ids.
+  /// Reads columns `projection` of the row at `rid` (every column when
+  /// `projection` is empty) into `sink`. Index probes read a few columns
+  /// of wide rows (OPA/IPA) this way without copying the rest.
+  /// `projection` must be ascending; the paged store answers
+  /// InvalidArgument otherwise. Fails for tombstoned/bad ids.
+  virtual util::Status Read(RowId rid, const std::vector<int>& projection,
+                            const RowSink& sink) const = 0;
+
+  /// Copies the row at `rid` into `*out`.
   util::Status Get(RowId rid, Row* out) const {
     out->clear();
-    return GetProjected(rid, {}, out);
+    return Read(rid, {}, RowSink(out));
   }
 
-  /// Appends columns `projection` of the row at `rid` (every column when
-  /// `projection` is empty) to `*out`, after what it already holds. Index
-  /// probes read a few columns of wide rows (OPA/IPA) this way without
-  /// copying the rest. `projection` must be ascending; the paged store
-  /// answers InvalidArgument otherwise.
-  virtual util::Status GetProjected(RowId rid,
-                                    const std::vector<int>& projection,
-                                    Row* out) const = 0;
+  /// Appends the projected columns of the row at `rid` to `*out` as one
+  /// new row.
+  util::Status AppendProjected(RowId rid, const std::vector<int>& projection,
+                               ColumnBatch* out) const {
+    return Read(rid, projection, RowSink(out));
+  }
 
   /// Replaces the row at `rid`.
   virtual util::Status Update(RowId rid, Row row) = 0;
@@ -81,8 +123,8 @@ class RowStore {
 class VectorRowStore : public RowStore {
  public:
   RowId Append(Row row) override;
-  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
-                            Row* out) const override;
+  util::Status Read(RowId rid, const std::vector<int>& projection,
+                    const RowSink& sink) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;
@@ -92,9 +134,6 @@ class VectorRowStore : public RowStore {
   size_t NumSlots() const override { return rows_.size(); }
   size_t NumLive() const override { return live_count_; }
   size_t SerializedBytes() const override;
-
-  /// Zero-copy access for internal fast paths (resident store only).
-  const Row& RowRef(RowId rid) const { return rows_[rid]; }
 
  private:
   std::vector<Row> rows_;
@@ -115,8 +154,8 @@ class PagedRowStore : public RowStore {
                 size_t rows_per_page = 64);
 
   RowId Append(Row row) override;
-  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
-                            Row* out) const override;
+  util::Status Read(RowId rid, const std::vector<int>& projection,
+                    const RowSink& sink) const override;
   util::Status Update(RowId rid, Row row) override;
   util::Status Delete(RowId rid) override;
   util::Status Restore(RowId rid, Row row) override;

@@ -92,10 +92,10 @@ class Table {
   size_t NumVersions() const { return versions_.Read().size(); }
 
   util::Status Get(RowId rid, Row* out) const { return store_->Get(rid, out); }
-  /// See RowStore::GetProjected.
-  util::Status GetProjected(RowId rid, const std::vector<int>& projection,
-                            Row* out) const {
-    return store_->GetProjected(rid, projection, out);
+  /// See RowStore::AppendProjected.
+  util::Status AppendProjected(RowId rid, const std::vector<int>& projection,
+                               ColumnBatch* out) const {
+    return store_->AppendProjected(rid, projection, out);
   }
   bool IsLive(RowId rid) const { return store_->IsLive(rid); }
 

@@ -1159,9 +1159,7 @@ class Executor::Impl {
         }
         if (current->num_rows == 0) break;
       }
-      for (size_t i = 0; i < current->num_rows; ++i) {
-        ws->AppendRowFrom(*current, i);
-      }
+      ws->Append(*current);
       chunk.Reset(width);
       chunk.Reserve(rel::kVectorChunkRows);
     };
@@ -1388,12 +1386,9 @@ class Executor::Impl {
 
   Status FetchRows(const Relation& relation, const std::vector<rel::RowId>& rids,
                    ColumnBatch* ws) {
-    Row row;
     for (rel::RowId rid : rids) {
-      row.clear();
       RETURN_NOT_OK(
-          relation.base->GetProjected(rid, relation.projection, &row));
-      ws->AppendRow(row);
+          relation.base->AppendProjected(rid, relation.projection, ws));
       ++stats_->rows_scanned;
     }
     return Status::OK();
@@ -1585,14 +1580,37 @@ class Executor::Impl {
   /// The probe loop shared by the index nested-loop joins: for every row
   /// i < n whose key columns hold no NULL, one index lookup, then each
   /// match's projected columns appended to `*right` and i to `*left_sel`.
-  /// One key and one rid buffer serve the whole batch.
+  /// A single int64 key column (the VID/VALID joins of the translated
+  /// chains) is read unboxed and probed with Index::LookupInt; every other
+  /// key shape builds an IndexKey. One key and one rid buffer serve the
+  /// whole batch.
   Status ProbeIndex(const Relation& relation, const rel::Index& index,
                     size_t n, const std::vector<ColumnVector>& key_cols,
                     std::vector<uint32_t>* left_sel, ColumnBatch* right) {
+    std::vector<rel::RowId> rids;
+    // Appends the rows of the lookup just made for probe row i.
+    auto fetch_matches = [&](size_t i) -> Status {
+      ++stats_->index_lookups;
+      for (rel::RowId rid : rids) {
+        RETURN_NOT_OK(
+            relation.base->AppendProjected(rid, relation.projection, right));
+        left_sel->push_back(static_cast<uint32_t>(i));
+      }
+      return Status::OK();
+    };
+    if (key_cols.size() == 1 &&
+        key_cols[0].tag() == ColumnVector::Tag::kInt64) {
+      const ColumnVector& col = key_cols[0];
+      for (size_t i = 0; i < n; ++i) {
+        if (col.IsNull(i)) continue;  // NULL never equi-joins
+        rids.clear();
+        index.LookupInt(col.IntAt(i), &rids);
+        RETURN_NOT_OK(fetch_matches(i));
+      }
+      return Status::OK();
+    }
     rel::IndexKey key;
     key.parts.reserve(key_cols.size());
-    std::vector<rel::RowId> rids;
-    Row fetched;
     for (size_t i = 0; i < n; ++i) {
       key.parts.clear();
       bool null_key = false;
@@ -1604,14 +1622,7 @@ class Executor::Impl {
       if (null_key) continue;  // NULL never equi-joins
       rids.clear();
       index.Lookup(key, &rids);
-      ++stats_->index_lookups;
-      for (rel::RowId rid : rids) {
-        fetched.clear();
-        RETURN_NOT_OK(
-            relation.base->GetProjected(rid, relation.projection, &fetched));
-        right->AppendRow(fetched);
-        left_sel->push_back(static_cast<uint32_t>(i));
-      }
+      RETURN_NOT_OK(fetch_matches(i));
     }
     return Status::OK();
   }

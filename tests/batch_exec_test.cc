@@ -417,6 +417,69 @@ TEST_F(BatchExecTest, LeftOuterJoinSpillExpansionKeepsProbeOrder) {
                                        8, 9, 100, 101, 102, 11}));
 }
 
+// The index probes read a single int64 key column unboxed and build an
+// IndexKey for every other key shape. Either way an index nested-loop join
+// and an OSA-style left-outer join must give the same rows, counters and
+// spans: the key column below is typed int64, holds 3.0-style doubles, or
+// mixes ints and doubles (boxed), with and without NULLs (grp is NULL on
+// every seventh row, so grp * 0 + id is id or NULL).
+TEST_F(BatchExecTest, IndexProbesAgreeAcrossKeyColumnTypes) {
+  auto inner = [](const std::string& key) {
+    return "WITH c AS (SELECT " + key + " AS val FROM v WHERE v.id < 600) "
+           "SELECT p.vid, p.val0, p.sval FROM c, adj p WHERE c.val = p.vid";
+  };
+  auto outer = [](const std::string& key) {
+    return "WITH c AS (SELECT " + key + " AS val FROM v WHERE v.id < 600) "
+           "SELECT s.valid, s.val FROM c "
+           "LEFT OUTER JOIN spill s ON c.val = s.valid";
+  };
+  const std::vector<std::string> trace_inner = {
+      "c: seq scan v", "final: index nested-loop join adj via adj_vid"};
+  const std::vector<std::string> trace_outer = {
+      "c: seq scan v",
+      "final: index nested-loop left-outer join spill via spill_valid"};
+  const Golden inner_all{
+      {"vid", "val0", "sval"}, 600, 0x31e877dfdb355a6aULL,
+      {2, 600, 0, 0, 1, 3600}, trace_inner,
+      {{"c", "seq scan v", 3000},
+       {"final", "scan c", 600},
+       {"final", "index nested-loop join adj via adj_vid", 600}}};
+  const Golden outer_all{
+      {"valid", "val"}, 840, 0x9a91f3338b35171fULL,
+      {2, 600, 0, 0, 1, 3600}, trace_outer,
+      {{"c", "seq scan v", 3000},
+       {"final", "scan c", 600},
+       {"final", "index nested-loop left-outer join spill via spill_valid",
+        840}}};
+  for (const std::string& key :
+       {std::string("v.id"), std::string("CAST(v.id AS DOUBLE)"),
+        std::string("COALESCE(v.grp * 0 + v.id, CAST(v.id AS DOUBLE))")}) {
+    SCOPED_TRACE(key);
+    ExpectGolden(inner(key), inner_all);
+    ExpectGolden(outer(key), outer_all);
+  }
+  const Golden inner_nulls{
+      {"vid", "val0", "sval"}, 514, 0xa72795b9f88e2302ULL,
+      {2, 514, 0, 0, 1, 3600}, trace_inner,
+      {{"c", "seq scan v", 3000},
+       {"final", "scan c", 600},
+       {"final", "index nested-loop join adj via adj_vid", 514}}};
+  const Golden outer_nulls{
+      {"valid", "val"}, 804, 0xe2e1bb9ccc6eea9bULL,
+      {2, 514, 0, 0, 1, 3600}, trace_outer,
+      {{"c", "seq scan v", 3000},
+       {"final", "scan c", 600},
+       {"final", "index nested-loop left-outer join spill via spill_valid",
+        804}}};
+  for (const std::string& key :
+       {std::string("v.grp * 0 + v.id"),
+        std::string("CAST(v.grp * 0 + v.id AS DOUBLE)")}) {
+    SCOPED_TRACE(key);
+    ExpectGolden(inner(key), inner_nulls);
+    ExpectGolden(outer(key), outer_nulls);
+  }
+}
+
 TEST_F(BatchExecTest, UnnestValuesWithNullsAndMixedTypes) {
   // NULL second triads are dropped by the fused IS NOT NULL; the
   // (lbl1, sval) tuple makes `val` a mixed int/string (boxed) column.

@@ -15,6 +15,7 @@
 #include "sqlgraph/check.h"
 #include "sqlgraph/snapshot.h"
 #include "sqlgraph/store.h"
+#include "temp_dir.h"
 
 namespace sqlgraph {
 namespace core {
@@ -276,8 +277,7 @@ TEST(CheckTest, ReportTruncatesButKeepsCounting) {
 TEST(CheckTest, SnapshotRoundTripAuditsClean) {
   auto store = BuildStore();
   ASSERT_TRUE(store->RemoveVertex(1).ok());  // include soft-deleted state
-  const std::string path =
-      std::string(::testing::TempDir()) + "/check_roundtrip.sqlg";
+  const std::string path = testutil::TempPath("check_roundtrip.sqlg");
   ASSERT_TRUE(SaveSnapshot(*store, path).ok());
   auto reopened = OpenSnapshot(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();

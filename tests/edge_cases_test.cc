@@ -16,6 +16,7 @@
 #include "sql/parser.h"
 #include "sqlgraph/snapshot.h"
 #include "sqlgraph/store.h"
+#include "temp_dir.h"
 
 namespace sqlgraph {
 namespace {
@@ -137,8 +138,7 @@ TEST(EdgeCaseTest, PagedSnapshotRoundTrip) {
   paged.buffer_pool_bytes = 1 << 20;
   auto store = SqlGraphStore::Build(g, paged);
   ASSERT_TRUE(store.ok());
-  const std::string path =
-      std::string(::testing::TempDir()) + "/paged_snapshot.sqlg";
+  const std::string path = testutil::TempPath("paged_snapshot.sqlg");
   ASSERT_TRUE(SaveSnapshot(**store, path).ok());
   // Reopen resident: storage mode is a property of the open, not the file.
   auto resident = core::OpenSnapshot(path);
@@ -299,8 +299,7 @@ TEST(FuzzRegressionTest, TruncatedAndBitFlippedSnapshotsRejectCleanly) {
   (void)g.AddEdge(0, 1, "knows", json::JsonValue::Object());
   auto store = SqlGraphStore::Build(g);
   ASSERT_TRUE(store.ok());
-  const std::string path =
-      std::string(::testing::TempDir()) + "/fuzz_regression.sqlg";
+  const std::string path = testutil::TempPath("fuzz_regression.sqlg");
   ASSERT_TRUE(core::SaveSnapshot(**store, path).ok());
 
   std::ifstream in(path, std::ios::binary);

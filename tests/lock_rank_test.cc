@@ -22,6 +22,7 @@
 #include "json/json_parser.h"
 #include "rel/buffer_pool.h"
 #include "sqlgraph/store.h"
+#include "temp_dir.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
 #include "wal/durability.h"
@@ -235,8 +236,7 @@ json::JsonValue Attrs(std::initializer_list<std::pair<const char*, int>> kv) {
 TEST(LockRankTest, StoreWorkloadRespectsHierarchy) {
   ScopedRankChecking check(true);
   core::StoreConfig config;
-  config.durability_dir =
-      std::string(::testing::TempDir()) + "/lock_rank_store";
+  config.durability_dir = testutil::TempPath("lock_rank_store");
   fs::remove_all(config.durability_dir);
   auto store = wal::OpenDurableStore(config);
   ASSERT_TRUE(store.ok()) << store.status().ToString();

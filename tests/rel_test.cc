@@ -1,8 +1,12 @@
 // Tests for src/rel: values, codec, row stores, buffer pool, indexes,
 // tables, database catalog.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <thread>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "json/json_parser.h"
@@ -340,18 +344,33 @@ std::vector<int> RandomProjection(util::Rng* rng) {
   return projection;
 }
 
-// GetProjected on both stores appends the same columns after a value the
-// output already holds.
+// Row `i` of `batch`, boxed.
+Row BatchRow(const ColumnBatch& batch, size_t i) {
+  Row row;
+  for (const ColumnVector& col : batch.cols) row.push_back(col.GetValue(i));
+  return row;
+}
+
+// AppendProjected on both stores adds the same row after a row the batch
+// already holds, and leaves the batch as it was when the read fails.
 void ExpectSameProjectedRead(const RowStore& paged, const RowStore& model,
                              RowId rid, const std::vector<int>& projection) {
   SCOPED_TRACE("projected read of row " + std::to_string(rid));
-  Row out_paged{Value(int64_t{-1})};
-  Row out_model{Value(int64_t{-1})};
-  const util::Status a = paged.GetProjected(rid, projection, &out_paged);
-  ASSERT_EQ(a.code(), model.GetProjected(rid, projection, &out_model).code());
+  const size_t width = projection.empty() ? 3 : projection.size();
+  const Row held(width, Value(int64_t{-1}));
+  ColumnBatch out_paged, out_model;
+  for (ColumnBatch* out : {&out_paged, &out_model}) {
+    out->Reset(width);
+    out->AppendRow(held);
+  }
+  const util::Status a = paged.AppendProjected(rid, projection, &out_paged);
+  ASSERT_EQ(a.code(),
+            model.AppendProjected(rid, projection, &out_model).code());
+  ASSERT_EQ(out_paged.num_rows, a.ok() ? 2u : 1u);
+  ASSERT_EQ(out_model.num_rows, out_paged.num_rows);
+  ASSERT_EQ(Encoded(BatchRow(out_paged, 0)), Encoded(held));
   if (!a.ok()) return;
-  ASSERT_EQ(out_paged.size(), 1 + (projection.empty() ? 3 : projection.size()));
-  ASSERT_EQ(Encoded(out_paged), Encoded(out_model));
+  ASSERT_EQ(Encoded(BatchRow(out_paged, 1)), Encoded(BatchRow(out_model, 1)));
 }
 
 // (rows_per_page, pool budget in pages; 0 = room for the whole store)
@@ -452,13 +471,14 @@ TEST(PagedRowStoreTest, ProjectionMustBeAscending) {
   util::Rng rng(7);
   paged.Append(RandomModelRow(&rng));
   paged.Append(RandomModelRow(&rng));  // seals the first row's page
-  Row out;
-  EXPECT_TRUE(paged.GetProjected(0, {0, 2}, &out).ok());
-  EXPECT_EQ(out.size(), 2u);
+  ColumnBatch out;
+  out.Reset(2);
+  EXPECT_TRUE(paged.AppendProjected(0, {0, 2}, &out).ok());
+  EXPECT_EQ(out.num_rows, 1u);
   for (const std::vector<int>& bad :
        {std::vector<int>{2, 0}, std::vector<int>{1, 1}, std::vector<int>{3}}) {
-    out.clear();
-    EXPECT_TRUE(paged.GetProjected(0, bad, &out).IsInvalidArgument());
+    EXPECT_TRUE(paged.AppendProjected(0, bad, &out).IsInvalidArgument());
+    EXPECT_EQ(out.num_rows, 1u);
   }
 }
 
@@ -523,6 +543,232 @@ TEST(HashIndexTest, UniqueRejectsDuplicates) {
   HashIndex idx("u", {0}, true);
   ASSERT_TRUE(idx.Insert({{Value(1)}}, 10).ok());
   EXPECT_FALSE(idx.Insert({{Value(1)}}, 11).ok());
+}
+
+// Beyond 2^53, Value::Compare's int-vs-double equality is not transitive:
+// double 2^53 "equals" both int 2^53 and int 2^53+1, which differ. The hash
+// index answers by the exact integral value of a double key.
+TEST(HashIndexTest, IntegralDoubleKeysMatchExactIntsBeyond2To53) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  ASSERT_EQ(Value(k2p53 + 1).Compare(Value(static_cast<double>(k2p53))), 0);
+  HashIndex idx("big", {0}, false);
+  ASSERT_TRUE(idx.Insert({{Value(k2p53)}}, 1).ok());
+  ASSERT_TRUE(idx.Insert({{Value(k2p53 + 1)}}, 2).ok());
+  ASSERT_TRUE(idx.Insert({{Value(INT64_MAX)}}, 3).ok());
+  ASSERT_TRUE(idx.Insert({{Value(INT64_MIN)}}, 4).ok());
+  auto lookup = [&idx](const Value& v) {
+    std::vector<RowId> hits;
+    idx.Lookup({{v}}, &hits);
+    return hits;
+  };
+  EXPECT_EQ(lookup(Value(static_cast<double>(k2p53))),
+            std::vector<RowId>{1});
+  EXPECT_EQ(lookup(Value(k2p53 + 1)), std::vector<RowId>{2});
+  // 2^63 rounds INT64_MAX under Compare, but is outside the int64 range.
+  EXPECT_EQ(Value(INT64_MAX).Compare(Value(9223372036854775808.0)), 0);
+  EXPECT_TRUE(lookup(Value(9223372036854775808.0)).empty());
+  // -2^63 is exactly INT64_MIN.
+  EXPECT_EQ(lookup(Value(-9223372036854775808.0)), std::vector<RowId>{4});
+  EXPECT_EQ(idx.NumDistinctKeys(), 4u);
+}
+
+// A HashIndex key part normalized the way the index stores it: an integral
+// double inside the int64 range becomes that int64.
+Value CanonicalKeyPart(const Value& v) {
+  if (v.is_double()) {
+    const double d = v.AsDouble();
+    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+        std::trunc(d) == d) {
+      return Value(static_cast<int64_t>(d));
+    }
+  }
+  return v;
+}
+
+// The model's key equality: Value::Compare over canonical parts, except
+// that an int never equals a double left non-integral or out of range
+// (Compare rounds the int to a double there). Within +-2^53 this is
+// exactly Value::Compare, which the model test checks on every step.
+bool ModelKeyPartEq(const Value& a, const Value& b) {
+  const Value ca = CanonicalKeyPart(a), cb = CanonicalKeyPart(b);
+  if ((ca.is_int() && cb.is_double()) || (ca.is_double() && cb.is_int())) {
+    return false;
+  }
+  return ca.Compare(cb) == 0;
+}
+
+bool ModelKeyEq(const IndexKey& a, const IndexKey& b) {
+  if (a.parts.size() != b.parts.size()) return false;
+  for (size_t i = 0; i < a.parts.size(); ++i) {
+    if (!ModelKeyPartEq(a.parts[i], b.parts[i])) return false;
+  }
+  return true;
+}
+
+// Reference hash index: one bucket per distinct key, found by linear
+// search with ModelKeyEq; rids in insertion order.
+struct ModelHashIndex {
+  bool unique = false;
+  std::vector<std::pair<IndexKey, std::vector<RowId>>> buckets;
+  size_t entries = 0;
+
+  std::vector<RowId>* Find(const IndexKey& key) {
+    for (auto& [k, rids] : buckets) {
+      if (ModelKeyEq(k, key)) return &rids;
+    }
+    return nullptr;
+  }
+  bool Insert(const IndexKey& key, RowId rid) {
+    std::vector<RowId>* rids = Find(key);
+    if (rids != nullptr && unique) return false;
+    if (rids == nullptr) {
+      buckets.push_back({key, {}});
+      rids = &buckets.back().second;
+    }
+    rids->push_back(rid);
+    ++entries;
+    return true;
+  }
+  void Remove(const IndexKey& key, RowId rid) {
+    for (size_t b = 0; b < buckets.size(); ++b) {
+      if (!ModelKeyEq(buckets[b].first, key)) continue;
+      auto& rids = buckets[b].second;
+      auto pos = std::find(rids.begin(), rids.end(), rid);
+      if (pos == rids.end()) return;
+      rids.erase(pos);
+      --entries;
+      if (rids.empty()) buckets.erase(buckets.begin() + b);
+      return;
+    }
+  }
+  std::vector<RowId> Lookup(const IndexKey& key) {
+    std::vector<RowId>* rids = Find(key);
+    return rids == nullptr ? std::vector<RowId>{} : *rids;
+  }
+};
+
+// A random key part. `small` keeps numbers within +-2^53, where
+// Value::Compare is an equivalence (composite keys use only those).
+Value RandomKeyPart(util::Rng* rng, bool small) {
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  const int64_t n = rng->UniformRange(0, 700);
+  switch (rng->Uniform(small ? 9 : 11)) {
+    case 0:
+    case 1:
+    case 2: return Value(n);                           // the bulk: growth
+    case 3: return Value(static_cast<double>(n));       // integral double
+    case 4: return Value(static_cast<double>(n) + 0.5); // non-integral
+    case 5: return rng->Chance(0.5) ? Value(0.0) : Value(-0.0);
+    case 6: return rng->Chance(0.5) ? Value(rng->Chance(0.5)) : Value();
+    case 7: return Value(std::to_string(n % 20));       // "3" is not 3
+    case 8: return Value(-n);
+    case 9: {
+      const int64_t big[] = {k2p53 - 1, k2p53, k2p53 + 1, -k2p53, -k2p53 - 1,
+                             INT64_MAX, INT64_MIN};
+      return Value(big[rng->Uniform(7)]);
+    }
+    default: {
+      const double big[] = {9007199254740992.0, 9007199254740994.0,
+                            -9007199254740992.0, 9223372036854775808.0,
+                            -9223372036854775808.0, 1e300};
+      return Value(big[rng->Uniform(6)]);
+    }
+  }
+}
+
+IndexKey RandomModelKey(util::Rng* rng) {
+  IndexKey key;
+  if (rng->Uniform(8) == 0) {  // a two-part key, as EA_INV_LBL holds
+    key.parts.push_back(RandomKeyPart(rng, /*small=*/true));
+    key.parts.push_back(RandomKeyPart(rng, /*small=*/true));
+  } else {
+    key.parts.push_back(RandomKeyPart(rng, /*small=*/false));
+  }
+  return key;
+}
+
+// Random Insert/Remove/Lookup/LookupInt against ModelHashIndex, on a unique
+// and a non-unique index at once. Hundreds of int keys grow the table
+// several times, and removals in between shift colliding probe chains.
+TEST(HashIndexModelTest, MatchesCompareReference) {
+  HashIndex plain("plain", {0}, false);
+  HashIndex unique("unique", {0}, true);
+  ModelHashIndex plain_model, unique_model;
+  unique_model.unique = true;
+  std::vector<std::pair<IndexKey, RowId>> inserted;  // removal candidates
+  util::Rng rng(0x1DE7);
+  constexpr int kSteps = 6000;
+  for (int step = 0; step < kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Grow for the first half, then mostly shrink.
+    const uint64_t op = rng.Uniform(10);
+    const bool grow = step < kSteps / 2 ? op < 6 : op < 3;
+    if (grow) {
+      const IndexKey key = RandomModelKey(&rng);
+      const RowId rid = static_cast<RowId>(step);
+      ASSERT_TRUE(plain.Insert(key, rid).ok());
+      ASSERT_TRUE(plain_model.Insert(key, rid));
+      const bool accepted = unique_model.Insert(key, rid);
+      ASSERT_EQ(unique.Insert(key, rid).ok(), accepted);
+      inserted.push_back({key, rid});
+    } else if (op < 8 && !inserted.empty()) {
+      // Remove an inserted (key, rid), or a rid under an equal key of
+      // another type (3 for 3.0), or a rid the key never had.
+      const size_t at = rng.Uniform(inserted.size());
+      IndexKey key = inserted[at].first;
+      RowId rid = inserted[at].second;
+      if (rng.Chance(0.2)) rid += 1;
+      if (key.parts.size() == 1 && key.parts[0].is_int() &&
+          key.parts[0].AsInt() > -700 && key.parts[0].AsInt() < 700 &&
+          rng.Chance(0.3)) {
+        key.parts[0] = Value(static_cast<double>(key.parts[0].AsInt()));
+      }
+      plain.Remove(key, rid);
+      plain_model.Remove(key, rid);
+      unique.Remove(key, rid);
+      unique_model.Remove(key, rid);
+      inserted.erase(inserted.begin() + static_cast<ptrdiff_t>(at));
+    } else {
+      const IndexKey key = RandomModelKey(&rng);
+      for (auto [index, model] : {std::pair{&plain, &plain_model},
+                                  std::pair{&unique, &unique_model}}) {
+        std::vector<RowId> hits;
+        index->Lookup(key, &hits);
+        ASSERT_EQ(hits, model->Lookup(key)) << index->name();
+        const Value& part = key.parts[0];
+        if (key.parts.size() == 1 && part.is_int()) {
+          hits.clear();
+          index->LookupInt(part.AsInt(), &hits);
+          ASSERT_EQ(hits, model->Lookup(key)) << index->name();
+        }
+      }
+    }
+    ASSERT_EQ(plain.NumDistinctKeys(), plain_model.buckets.size());
+    ASSERT_EQ(plain.NumEntries(), plain_model.entries);
+    ASSERT_EQ(unique.NumDistinctKeys(), unique_model.buckets.size());
+    ASSERT_EQ(unique.NumEntries(), unique_model.entries);
+    // The model's equality is Value::Compare's wherever that is an
+    // equivalence.
+    const Value a = RandomKeyPart(&rng, /*small=*/true);
+    const Value b = RandomKeyPart(&rng, /*small=*/true);
+    ASSERT_EQ(ModelKeyPartEq(a, b), a.Compare(b) == 0)
+        << a.ToString() << " vs " << b.ToString();
+  }
+  // Every key the model holds is found, by Lookup and (int keys) LookupInt.
+  for (auto [index, model] : {std::pair{&plain, &plain_model},
+                              std::pair{&unique, &unique_model}}) {
+    ASSERT_GT(model->buckets.size(), 100u);
+    for (const auto& [key, rids] : model->buckets) {
+      std::vector<RowId> hits;
+      index->Lookup(key, &hits);
+      ASSERT_EQ(hits, rids);
+      if (key.parts.size() == 1 && key.parts[0].is_int()) {
+        hits.clear();
+        index->LookupInt(key.parts[0].AsInt(), &hits);
+        ASSERT_EQ(hits, rids);
+      }
+    }
+  }
 }
 
 TEST(OrderedIndexTest, RangeScan) {

@@ -7,14 +7,13 @@
 #include "gremlin/runtime.h"
 #include "gtest/gtest.h"
 #include "sqlgraph/snapshot.h"
+#include "temp_dir.h"
 
 namespace sqlgraph {
 namespace core {
 namespace {
 
-std::string TempPath(const char* name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::TempPath;
 
 json::JsonValue Attr(const char* key, json::JsonValue value) {
   json::JsonValue obj = json::JsonValue::Object();

@@ -17,6 +17,7 @@
 #include "json/json_parser.h"
 #include "sqlgraph/store.h"
 #include "sqlgraph/txn.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 #include "wal/durability.h"
 
@@ -437,8 +438,7 @@ TEST(TxnSessionTest, TxnControlOutsideSessionIsRejected) {
 
 TEST(TxnDurabilityTest, CommittedTxnSurvivesReopenRolledBackDoesNot) {
   StoreConfig config;
-  config.durability_dir =
-      std::string(::testing::TempDir()) + "/txn_durable_test";
+  config.durability_dir = testutil::TempPath("txn_durable_test");
   fs::remove_all(config.durability_dir);
 
   VertexId committed_vid = 0, burned_vid = 0;

@@ -18,6 +18,7 @@
 #include "json/json_parser.h"
 #include "sqlgraph/store.h"
 #include "sqlgraph/txn.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 #include "wal/durability.h"
 #include "wal/log_reader.h"
@@ -32,9 +33,7 @@ namespace fs = std::filesystem;
 using core::SqlGraphStore;
 using core::StoreConfig;
 
-std::string TempPath(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
+using testutil::TempPath;
 
 /// Fresh empty directory under the test temp root.
 std::string FreshDir(const std::string& name) {
